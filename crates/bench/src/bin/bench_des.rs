@@ -4,24 +4,26 @@
 //! per-message workloads at three scales — small (64 endpoints), subset
 //! (1,024 endpoints), and the full machine (9,472 nodes / 37,888
 //! endpoints) — plus the full-scale GPCNeT victim multiple-allreduce, and
-//! times the calendar-queue scheduler against the binary-heap reference.
+//! times the production core (`simulate`: SoA arena on the radix-heap
+//! `Simulator`) against the oracle (`simulate_reference`: per-`Message`
+//! on the binary-heap `EventQueue`).
 //!
 //! Two gates, mirroring `solver_regression`:
 //!
-//! 1. **Parity**: the calendar queue and the heap must produce
+//! 1. **Parity**: `simulate` and `simulate_reference` must produce
 //!    bit-identical deliveries at every measured scale. Both delivery
-//!    dumps are also written to `target/des_parity_{heap,calendar}.txt`
+//!    dumps are also written to `target/des_parity_{reference,simulate}.txt`
 //!    so CI can `cmp` them as an artifact-level gate.
-//! 2. **Performance**: the calendar queue must not fall behind the heap
-//!    by more than [`MAX_SLOWDOWN`] at the largest measured scale, and a
-//!    full (non `--quick`) run must sustain at least
-//!    [`MIN_HOP_EVENTS_PER_SEC`] hop-events/sec single-threaded.
+//! 2. **Performance**: `simulate` must run at least
+//!    [`MIN_SPEEDUP_VS_REFERENCE`] times faster than the oracle at the
+//!    largest measured scale, and a full (non `--quick`) run must sustain
+//!    at least [`MIN_HOP_EVENTS_PER_SEC`] hop-events/sec single-threaded.
 //!
 //! `--quick` (the CI mode) runs the small and subset scales only and
 //! skips the JSON artifact; a full run also rewrites `BENCH_des.json` at
 //! the workspace root with the measured throughput trajectory.
 
-use frontier_core::fabric::des::{simulate_with, DesConfig, MessageBatch, QueueKind};
+use frontier_core::fabric::des::{simulate, simulate_reference, DesConfig, Message, MessageBatch};
 use frontier_core::fabric::dragonfly::{Dragonfly, DragonflyParams};
 use frontier_core::fabric::gpcnet::{victim_allreduce_des, GpcnetConfig};
 use frontier_core::fabric::mpigraph::{DES_MESSAGE, DES_WINDOW};
@@ -29,17 +31,19 @@ use frontier_core::fabric::patterns::mpigraph_pairs;
 use frontier_core::fabric::routing::{RoutePolicy, Router};
 use frontier_core::sim_core::metrics;
 use frontier_core::sim_core::rng::StreamRng;
+use frontier_core::sim_core::time::SimTime;
 use frontier_core::sim_core::units::Bytes;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 // simlint::allow(wallclock): this binary *is* a wall-clock benchmark (hop-events/sec throughput gate); its timings feed a JSON artifact, never byte-compared simulation state
 use std::time::Instant;
 
-/// Maximum tolerated slowdown of the calendar queue vs the heap at the
-/// largest measured scale.
-const MAX_SLOWDOWN: f64 = 1.50;
+/// Minimum speedup of `simulate` over `simulate_reference` at the largest
+/// measured scale.
+const MIN_SPEEDUP_VS_REFERENCE: f64 = 1.5;
 
 /// Throughput floor for a full run (hop events per second, one thread).
 const MIN_HOP_EVENTS_PER_SEC: f64 = 10.0e6;
@@ -52,42 +56,46 @@ struct ScalePoint {
     endpoints: usize,
     messages: usize,
     hop_events: u64,
-    heap_ns: f64,
-    calendar_ns: f64,
+    reference_ns: f64,
+    simulate_ns: f64,
 }
 
 impl ScalePoint {
-    fn heap_heps(&self) -> f64 {
-        self.hop_events as f64 / (self.heap_ns / 1e9)
+    fn reference_heps(&self) -> f64 {
+        self.hop_events as f64 / (self.reference_ns / 1e9)
     }
-    fn calendar_heps(&self) -> f64 {
-        self.hop_events as f64 / (self.calendar_ns / 1e9)
+    fn simulate_heps(&self) -> f64 {
+        self.hop_events as f64 / (self.simulate_ns / 1e9)
     }
 }
 
 /// The mpiGraph per-message workload on `df`: every endpoint sends a
 /// window of `DES_WINDOW` × `DES_MESSAGE` messages to one random partner
-/// (same pair generation as `mpigraph::run_dragonfly_des`).
-fn mpigraph_batch(df: &Dragonfly) -> MessageBatch {
+/// (same pair generation as `mpigraph::run_dragonfly_des`), as the oracle's
+/// boxed messages and as the production batch.
+fn mpigraph_workload(df: &Dragonfly) -> (Vec<Message>, MessageBatch) {
     let n = df.params().total_endpoints();
     let mut rng = StreamRng::for_component(SEED, "mpigraph-pairs", 0);
     let pairs = mpigraph_pairs(n, &mut rng);
     let router = Router::new(df, RoutePolicy::adaptive_default());
     let flows = router.route_all(&pairs, 0, SEED);
     let pool: usize = flows.iter().map(|f| f.path.len()).sum();
+    let mut msgs = Vec::with_capacity(flows.len() * DES_WINDOW);
     let mut batch = MessageBatch::with_capacity(flows.len() * DES_WINDOW, pool);
     for (i, f) in flows.iter().enumerate() {
-        let span = batch.intern(&f.path);
+        let path: Arc<[_]> = Arc::from(&f.path[..]);
+        let span = batch.intern(&path);
         for _ in 0..DES_WINDOW {
-            batch.push(
-                span,
+            msgs.push(Message::on(
+                path.clone(),
                 DES_MESSAGE,
-                frontier_core::sim_core::time::SimTime::ZERO,
+                SimTime::ZERO,
                 i as u64,
-            );
+            ));
+            batch.push(span, DES_MESSAGE, SimTime::ZERO, i as u64);
         }
     }
-    batch
+    (msgs, batch)
 }
 
 fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -103,36 +111,41 @@ fn median_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
-/// Time both schedulers on one scale, check delivery parity, and append
-/// the heap/calendar delivery dumps to the parity artifacts.
+/// Time the production core and the oracle on one scale, check delivery
+/// parity, and append both delivery dumps to the parity artifacts.
 fn measure(
     name: &'static str,
     df: &Dragonfly,
     reps: usize,
-    heap_dump: &mut String,
-    calendar_dump: &mut String,
+    reference_dump: &mut String,
+    simulate_dump: &mut String,
 ) -> Result<ScalePoint, String> {
     let cfg = DesConfig::default();
-    let batch = mpigraph_batch(df);
+    let (msgs, batch) = mpigraph_workload(df);
     let topo = df.topology();
 
-    let cal = simulate_with(topo, &cfg, &batch, QueueKind::Calendar);
-    let heap = simulate_with(topo, &cfg, &batch, QueueKind::BinaryHeap);
-    if cal != heap {
-        return Err(format!("{name}: calendar and heap deliveries diverge"));
+    let fast = simulate(topo, &cfg, &batch);
+    let oracle = simulate_reference(topo, &cfg, &msgs);
+    if fast != oracle {
+        return Err(format!(
+            "{name}: simulate and simulate_reference deliveries diverge"
+        ));
     }
-    for (dump, rows) in [(&mut *heap_dump, &heap), (&mut *calendar_dump, &cal)] {
+    for (dump, rows) in [
+        (&mut *reference_dump, &oracle),
+        (&mut *simulate_dump, &fast),
+    ] {
         let _ = writeln!(dump, "# scale {name}");
         for d in rows.iter() {
             let _ = writeln!(dump, "{} {}", d.tag, d.arrival.as_picos());
         }
     }
 
-    let calendar_ns = median_ns(reps, || {
-        black_box(simulate_with(topo, &cfg, &batch, QueueKind::Calendar));
+    let simulate_ns = median_ns(reps, || {
+        black_box(simulate(topo, &cfg, &batch));
     });
-    let heap_ns = median_ns(reps, || {
-        black_box(simulate_with(topo, &cfg, &batch, QueueKind::BinaryHeap));
+    let reference_ns = median_ns(reps, || {
+        black_box(simulate_reference(topo, &cfg, &msgs));
     });
 
     let p = ScalePoint {
@@ -140,19 +153,19 @@ fn measure(
         endpoints: df.params().total_endpoints(),
         messages: batch.len(),
         hop_events: batch.total_hops(),
-        heap_ns,
-        calendar_ns,
+        reference_ns,
+        simulate_ns,
     };
     println!(
-        "bench-des: {:<12} {:>6} endpoints {:>7} msgs {:>8} hop-events | heap {:>8.2} ms ({:>5.1} M hops/s) | calendar {:>8.2} ms ({:>5.1} M hops/s)",
+        "bench-des: {:<12} {:>6} endpoints {:>7} msgs {:>8} hop-events | reference {:>8.2} ms ({:>5.1} M hops/s) | simulate {:>8.2} ms ({:>5.1} M hops/s)",
         p.name,
         p.endpoints,
         p.messages,
         p.hop_events,
-        p.heap_ns / 1e6,
-        p.heap_heps() / 1e6,
-        p.calendar_ns / 1e6,
-        p.calendar_heps() / 1e6,
+        p.reference_ns / 1e6,
+        p.reference_heps() / 1e6,
+        p.simulate_ns / 1e6,
+        p.simulate_heps() / 1e6,
     );
     Ok(p)
 }
@@ -204,7 +217,7 @@ fn gpcnet_allreduce(quick: bool) -> AllreduceResult {
 fn write_json(points: &[ScalePoint], ar: &AllreduceResult) {
     let best_heps = points
         .iter()
-        .map(ScalePoint::calendar_heps)
+        .map(ScalePoint::simulate_heps)
         .fold(0.0f64, f64::max);
     let scales: Vec<String> = points
         .iter()
@@ -216,20 +229,20 @@ fn write_json(points: &[ScalePoint], ar: &AllreduceResult) {
                     "      \"endpoints\": {},\n",
                     "      \"messages\": {},\n",
                     "      \"hop_events\": {},\n",
-                    "      \"heap_ns\": {:.0},\n",
-                    "      \"calendar_ns\": {:.0},\n",
-                    "      \"heap_hop_events_per_sec\": {:.0},\n",
-                    "      \"calendar_hop_events_per_sec\": {:.0}\n",
+                    "      \"reference_ns\": {:.0},\n",
+                    "      \"simulate_ns\": {:.0},\n",
+                    "      \"reference_hop_events_per_sec\": {:.0},\n",
+                    "      \"simulate_hop_events_per_sec\": {:.0}\n",
                     "    }}"
                 ),
                 p.name,
                 p.endpoints,
                 p.messages,
                 p.hop_events,
-                p.heap_ns,
-                p.calendar_ns,
-                p.heap_heps(),
-                p.calendar_heps(),
+                p.reference_ns,
+                p.simulate_ns,
+                p.reference_heps(),
+                p.simulate_heps(),
             )
         })
         .collect();
@@ -247,7 +260,7 @@ fn write_json(points: &[ScalePoint], ar: &AllreduceResult) {
             "    \"sim_completion_us\": {:.1},\n",
             "    \"wall_ms\": {:.1}\n",
             "  }},\n",
-            "  \"calendar_hop_events_per_sec_best\": {:.0}\n",
+            "  \"simulate_hop_events_per_sec_best\": {:.0}\n",
             "}}\n"
         ),
         DES_WINDOW,
@@ -270,8 +283,8 @@ fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
 
     let mut points = Vec::new();
-    let mut heap_dump = String::new();
-    let mut calendar_dump = String::new();
+    let mut reference_dump = String::new();
+    let mut simulate_dump = String::new();
     let scales: Vec<(&'static str, DragonflyParams, usize)> = if quick {
         vec![
             ("small", DragonflyParams::scaled(4, 4, 4), 5),
@@ -286,7 +299,7 @@ fn main() -> ExitCode {
     };
     for (name, params, reps) in scales {
         let df = Dragonfly::build(params);
-        match measure(name, &df, reps, &mut heap_dump, &mut calendar_dump) {
+        match measure(name, &df, reps, &mut reference_dump, &mut simulate_dump) {
             Ok(p) => points.push(p),
             Err(e) => {
                 eprintln!("bench-des: parity FAILED: {e}");
@@ -299,8 +312,8 @@ fn main() -> ExitCode {
     // Artifact-level parity gate: CI `cmp`s these two dumps byte-for-byte.
     let target = PathBuf::from("target");
     for (file, dump) in [
-        ("des_parity_heap.txt", &heap_dump),
-        ("des_parity_calendar.txt", &calendar_dump),
+        ("des_parity_reference.txt", &reference_dump),
+        ("des_parity_simulate.txt", &simulate_dump),
     ] {
         let path = target.join(file);
         if let Err(e) = std::fs::write(&path, dump) {
@@ -308,18 +321,19 @@ fn main() -> ExitCode {
         }
     }
 
-    // Largest scale governs the perf gate: that is where scheduler choice
-    // matters and where noise is smallest relative to runtime.
+    // Largest scale governs the perf gate: that is where the core's data
+    // layout and scheduler matter and where noise is smallest relative to
+    // runtime.
     let last = points.last().expect("at least one scale measured");
-    let ratio = last.calendar_ns / last.heap_ns;
-    if ratio > MAX_SLOWDOWN {
+    let speedup = last.reference_ns / last.simulate_ns;
+    if speedup < MIN_SPEEDUP_VS_REFERENCE {
         eprintln!(
-            "bench-des: perf FAILED: calendar is {ratio:.2}x the heap at {} scale (gate: {MAX_SLOWDOWN:.2}x)",
+            "bench-des: perf FAILED: simulate is only {speedup:.2}x faster than the reference at {} scale (gate: {MIN_SPEEDUP_VS_REFERENCE:.2}x)",
             last.name
         );
         return ExitCode::FAILURE;
     }
-    let heps = last.calendar_heps().max(last.heap_heps());
+    let heps = last.simulate_heps();
     if !quick && heps < MIN_HOP_EVENTS_PER_SEC {
         eprintln!(
             "bench-des: perf FAILED: {:.1} M hop-events/s at {} scale (floor: {:.0} M)",
@@ -330,7 +344,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "bench-des: perf OK ({ratio:.2}x heap, {:.1} M hop-events/s)",
+        "bench-des: perf OK ({speedup:.2}x the reference, {:.1} M hop-events/s)",
         heps / 1e6
     );
 

@@ -23,20 +23,16 @@
 //! `free_at` array indexed by the dense link id. An in-flight message is a
 //! single 8-byte `(msg, cursor)` event; processing a hop touches four
 //! arrays and performs one float divide — no pointer chasing, no hashing,
-//! and no allocation. [`simulate`] picks the scheduler by batch size
-//! ([`auto_queue_kind`]): the calendar queue
-//! ([`frontier_sim_core::engine::CalendarQueue`]) for large batches, the
-//! binary heap below [`CALENDAR_MIN_HOP_EVENTS`] hop events where the
-//! calendar's bucket bookkeeping costs more than it saves. Either
-//! scheduler is selectable explicitly via [`simulate_with`] for parity
-//! testing and benchmarking.
+//! and no allocation. Events go through the workspace's one production
+//! scheduler, the radix-heap [`Simulator`], which delivers same-instant
+//! events in scheduling order.
 //!
-//! The pre-rewrite per-`Message` implementation is kept verbatim as
-//! [`simulate_reference`]; property tests pin the SoA core to it
-//! delivery-for-delivery.
+//! The pre-rewrite per-`Message` implementation is kept as
+//! [`simulate_reference`], scheduling through the binary-heap
+//! [`EventQueue`] so it shares no scheduler code with [`simulate`];
+//! property tests pin the SoA core to it delivery-for-delivery.
 
 use crate::topology::{Flow, LinkId, Topology};
-use frontier_sim_core::engine::CalendarQueue;
 use frontier_sim_core::metrics;
 use frontier_sim_core::prelude::*;
 use std::sync::Arc;
@@ -264,103 +260,15 @@ struct Hop {
     cursor: u32,
 }
 
-/// Which event scheduler drives the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Calendar queue: near-O(1) per event in DES steady state.
-    Calendar,
-    /// Binary-heap reference scheduler (same deterministic order).
-    BinaryHeap,
-}
-
-/// Hop-event count at which the calendar queue starts beating the binary
-/// heap. Below it, the calendar's bucket bookkeeping and width
-/// recalibration cost more than `log n` heap sifts on a near-empty queue.
-///
-/// The crossover is bracketed by BENCH_des.json: at 1,232 hop events
-/// (64 endpoints) the calendar runs ~1.3× *slower* than the heap
-/// (98 µs vs 75 µs), while at 22,660 hop events (1,024 endpoints) it is
-/// already 2.1× faster (1.04 ms vs 2.16 ms) and 2.7× faster at full
-/// machine. The threshold sits between those measured points; a batch
-/// whose total hop count reaches it is firmly in the calendar's regime.
-pub const CALENDAR_MIN_HOP_EVENTS: u64 = 8_192;
-
-/// The scheduler [`simulate`] picks for `batch`: the binary heap below
-/// [`CALENDAR_MIN_HOP_EVENTS`] total hop events, the calendar queue at or
-/// above it. Purely size-based and deterministic — and both schedulers
-/// deliver bit-identical results, so the pick can never change an answer,
-/// only the wall-clock.
-pub fn auto_queue_kind(batch: &MessageBatch) -> QueueKind {
-    if batch.total_hops() >= CALENDAR_MIN_HOP_EVENTS {
-        QueueKind::Calendar
-    } else {
-        QueueKind::BinaryHeap
-    }
-}
-
 /// Simulate the delivery of a batch of messages over the topology.
 ///
 /// Links are FIFO servers: a message begins serialization when both it has
 /// fully arrived at the link's input and the link is free. Returns one
-/// [`Delivery`] per message, in input order. The scheduler is auto-selected
-/// by batch size ([`auto_queue_kind`]); [`simulate_with`] selects it
-/// explicitly.
+/// [`Delivery`] per message, in input order.
 pub fn simulate(topo: &Topology, cfg: &DesConfig, batch: &MessageBatch) -> Vec<Delivery> {
-    simulate_with(topo, cfg, batch, auto_queue_kind(batch))
-}
-
-/// [`simulate`] with an explicit scheduler choice. Both schedulers deliver
-/// events in the identical `(time, insertion seq)` order, so the results
-/// are bit-identical; the choice only affects wall-clock speed.
-pub fn simulate_with(
-    topo: &Topology,
-    cfg: &DesConfig,
-    batch: &MessageBatch,
-    queue: QueueKind,
-) -> Vec<Delivery> {
-    let arrivals = match queue {
-        QueueKind::Calendar => {
-            let mut sim = Simulator::over(CalendarQueue::with_capacity(batch.len()));
-            inject_all(cfg, batch, &mut sim);
-            if let Some(m) = metrics::active() {
-                // Calendar health telemetry: pending events per bucket at
-                // full load (just after the injection burst is queued).
-                let h = m.histogram("fabric.des.calendar.bucket_occupancy", 0.0, 32.0, 16);
-                sim.queue().for_each_occupancy(|n| h.record(n as f64));
-            }
-            run_hops(topo, cfg, batch, &mut sim)
-        }
-        QueueKind::BinaryHeap => {
-            let mut sim = Simulator::over(EventQueue::with_capacity(batch.len()));
-            inject_all(cfg, batch, &mut sim);
-            run_hops(topo, cfg, batch, &mut sim)
-        }
-    };
-
-    if let Some(m) = metrics::active() {
-        m.counter("fabric.des.messages").add(batch.len() as u64);
-        m.counter("fabric.des.events").add(batch.total_hops());
-        let makespan = arrivals.iter().fold(SimTime::ZERO, |a, &t| a.max(t));
-        m.max_gauge("fabric.des.makespan_ns_max")
-            .observe(makespan.as_nanos_f64());
-    }
-
-    arrivals
-        .into_iter()
-        .zip(&batch.tags)
-        .map(|(arrival, &tag)| Delivery { tag, arrival })
-        .collect()
-}
-
-/// Schedule the injection burst: every message is queued up front, and
-/// each delivery schedules at most one follow-up hop, so the queue never
-/// holds more than `batch.len()` events — both schedulers are pre-sized
-/// for exactly that population.
-fn inject_all<Q: EventScheduler<Hop>>(
-    cfg: &DesConfig,
-    batch: &MessageBatch,
-    sim: &mut Simulator<Hop, Q>,
-) {
+    // The injection burst: every message is queued up front, and each
+    // delivery schedules at most one follow-up hop.
+    let mut sim = Simulator::new();
     for i in 0..batch.len() {
         assert!(
             batch.span_end[i] > batch.span_off[i],
@@ -374,17 +282,7 @@ fn inject_all<Q: EventScheduler<Hop>>(
             },
         );
     }
-}
 
-/// The hot loop, generic over the scheduler: drain the event queue,
-/// serializing each message across each link of its span in FIFO order.
-/// Per event: four dense array accesses and one float divide.
-fn run_hops<Q: EventScheduler<Hop>>(
-    topo: &Topology,
-    cfg: &DesConfig,
-    batch: &MessageBatch,
-    sim: &mut Simulator<Hop, Q>,
-) -> Vec<SimTime> {
     // Flat per-link state, indexed by the dense LinkId. The bytes-per-sec
     // capacities are pre-converted so serialization time is one divide
     // (bit-identical to `Bandwidth::time_for`).
@@ -397,6 +295,9 @@ fn run_hops<Q: EventScheduler<Hop>>(
     let size_f64: Vec<f64> = batch.sizes.iter().map(|s| s.as_f64()).collect();
     let mut arrivals = vec![SimTime::MAX; batch.len()];
 
+    // The hot loop: serialize each message across each link of its span
+    // in FIFO order. Per event: four dense array accesses and one float
+    // divide.
     let pool = &batch.path_pool[..];
     let span_end = &batch.span_end[..];
     sim.run(|sim, t, Hop { msg, cursor }| {
@@ -414,12 +315,26 @@ fn run_hops<Q: EventScheduler<Hop>>(
         true
     });
 
+    if let Some(m) = metrics::active() {
+        m.counter("fabric.des.messages").add(batch.len() as u64);
+        m.counter("fabric.des.events").add(batch.total_hops());
+        let makespan = arrivals.iter().fold(SimTime::ZERO, |a, &t| a.max(t));
+        m.max_gauge("fabric.des.makespan_ns_max")
+            .observe(makespan.as_nanos_f64());
+    }
+
     arrivals
+        .into_iter()
+        .zip(&batch.tags)
+        .map(|(arrival, &tag)| Delivery { tag, arrival })
+        .collect()
 }
 
-/// The pre-rewrite per-`Message` simulation, kept verbatim as the oracle
-/// the SoA core is property-tested against (same pattern as
-/// `solve_maxmin_reference`). Pure — records no metrics.
+/// The pre-rewrite per-`Message` simulation, kept as the oracle the SoA
+/// core is property-tested against (same pattern as
+/// `solve_maxmin_reference`). It drives the binary-heap [`EventQueue`]
+/// directly, so it shares no scheduler code with [`simulate`]. Pure —
+/// records no metrics.
 pub fn simulate_reference(topo: &Topology, cfg: &DesConfig, messages: &[Message]) -> Vec<Delivery> {
     /// Reference DES event: message `msg` arriving at hop `hop` of its path.
     #[derive(Debug, Clone, Copy)]
@@ -430,14 +345,14 @@ pub fn simulate_reference(topo: &Topology, cfg: &DesConfig, messages: &[Message]
 
     let mut link_free = vec![SimTime::ZERO; topo.num_links() as usize];
     let mut arrivals = vec![SimTime::MAX; messages.len()];
-    let mut sim: Simulator<RefHop> = Simulator::with_capacity(messages.len());
+    let mut queue = EventQueue::with_capacity(messages.len());
 
     for (i, m) in messages.iter().enumerate() {
         assert!(!m.path.is_empty(), "message with empty path");
-        sim.schedule_at(m.inject_at + cfg.send_overhead, RefHop { msg: i, hop: 0 });
+        queue.push(m.inject_at + cfg.send_overhead, RefHop { msg: i, hop: 0 });
     }
 
-    sim.run(|sim, t, RefHop { msg, hop }| {
+    while let Some((t, RefHop { msg, hop })) = queue.pop() {
         let m = &messages[msg];
         let link = m.path[hop];
         let cap = topo.link(link).capacity;
@@ -445,12 +360,11 @@ pub fn simulate_reference(topo: &Topology, cfg: &DesConfig, messages: &[Message]
         let done = start + cap.time_for(m.size);
         link_free[link.0 as usize] = done;
         if hop + 1 < m.path.len() {
-            sim.schedule_at(done + cfg.hop_latency, RefHop { msg, hop: hop + 1 });
+            queue.push(done + cfg.hop_latency, RefHop { msg, hop: hop + 1 });
         } else {
             arrivals[msg] = done + cfg.recv_overhead;
         }
-        true
-    });
+    }
 
     messages
         .iter()
@@ -572,64 +486,6 @@ mod tests {
     fn empty_path_rejected() {
         let mut b = MessageBatch::new();
         b.push_path(&[], Bytes::kib(1), SimTime::ZERO, 0);
-    }
-
-    #[test]
-    fn heap_and_calendar_agree_exactly() {
-        let (t, path) = pair();
-        let cfg = DesConfig::default();
-        let mut batch = MessageBatch::new();
-        let span = batch.intern(&path);
-        for i in 0..64u64 {
-            batch.push(
-                span,
-                Bytes::kib(1 + (i * 37) % 512),
-                SimTime::from_nanos((i * 13) % 5),
-                i,
-            );
-        }
-        let cal = simulate_with(&t, &cfg, &batch, QueueKind::Calendar);
-        let heap = simulate_with(&t, &cfg, &batch, QueueKind::BinaryHeap);
-        assert_eq!(cal, heap);
-    }
-
-    #[test]
-    fn auto_select_pins_the_crossover() {
-        // Below the threshold (the BENCH_des.json "small" regime, 1,232
-        // hop events): the heap. At/above it (the "subset" regime, 22,660
-        // hop events): the calendar.
-        let (_, path) = pair();
-        let mut small = MessageBatch::new();
-        let span = small.intern(&path);
-        let below = CALENDAR_MIN_HOP_EVENTS / path.len() as u64 - 1;
-        for i in 0..below {
-            small.push(span, Bytes::kib(4), SimTime::ZERO, i);
-        }
-        assert!(small.total_hops() < CALENDAR_MIN_HOP_EVENTS);
-        assert_eq!(auto_queue_kind(&small), QueueKind::BinaryHeap);
-
-        let mut large = small.clone();
-        for i in 0..path.len() as u64 {
-            large.push(span, Bytes::kib(4), SimTime::ZERO, below + i);
-        }
-        assert!(large.total_hops() >= CALENDAR_MIN_HOP_EVENTS);
-        assert_eq!(auto_queue_kind(&large), QueueKind::Calendar);
-    }
-
-    #[test]
-    fn auto_select_cannot_change_results() {
-        let (t, path) = pair();
-        let cfg = DesConfig::default();
-        let mut batch = MessageBatch::new();
-        let span = batch.intern(&path);
-        for i in 0..48u64 {
-            batch.push(span, Bytes::kib(1 + i % 7), SimTime::from_nanos(i % 4), i);
-        }
-        let auto = simulate(&t, &cfg, &batch);
-        let cal = simulate_with(&t, &cfg, &batch, QueueKind::Calendar);
-        let heap = simulate_with(&t, &cfg, &batch, QueueKind::BinaryHeap);
-        assert_eq!(auto, cal);
-        assert_eq!(auto, heap);
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub const DES_MESSAGE: Bytes = Bytes::new(1 << 20);
 ///
 /// One flat [`MessageBatch`] carries the full machine (9,472 nodes →
 /// ~150k messages at Frontier scale), which is exactly the workload the
-/// SoA arena + calendar queue are built for.
+/// SoA arena + radix-heap scheduler are built for.
 pub fn run_des_with_flows(topo: &Topology, flows: &[Flow], seed: u64) -> MpiGraphResult {
     let batch = des_batch(flows);
     let deliveries = simulate(topo, &DesConfig::default(), &batch);

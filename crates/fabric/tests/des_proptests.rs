@@ -1,20 +1,23 @@
 //! Property-based tests for the message-level DES and the collectives.
 //!
-//! The SoA rewrite is pinned two ways: against the pre-rewrite
-//! per-`Message` oracle ([`simulate_reference`]), and calendar-queue
-//! against binary-heap scheduling — both must agree delivery-for-delivery,
-//! bit-identically.
+//! The SoA core on the radix-heap `Simulator` is pinned against the
+//! pre-rewrite per-`Message` oracle on the binary-heap `EventQueue`
+//! ([`simulate_reference`]): they must agree delivery-for-delivery,
+//! bit-identically, on small random batches and on a 1,024-endpoint
+//! mpiGraph batch.
 
 use frontier_fabric::collectives::{AllreduceAlgo, Collectives};
 use frontier_fabric::des::{
-    makespan, simulate, simulate_reference, simulate_with, DesConfig, Message, MessageBatch,
-    QueueKind,
+    makespan, simulate, simulate_reference, DesConfig, Message, MessageBatch,
 };
 use frontier_fabric::dragonfly::{Dragonfly, DragonflyParams};
+use frontier_fabric::mpigraph::{DES_MESSAGE, DES_WINDOW};
+use frontier_fabric::patterns::mpigraph_pairs;
 use frontier_fabric::routing::{RoutePolicy, Router};
 use frontier_fabric::topology::EndpointId;
 use frontier_sim_core::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn df() -> Dragonfly {
     Dragonfly::build(DragonflyParams::scaled(4, 4, 4))
@@ -56,6 +59,42 @@ fn random_batch(
         .collect();
     let batch = MessageBatch::from_messages(&msgs);
     (msgs, batch)
+}
+
+/// The SoA core matches the oracle on the 1,024-endpoint mpiGraph batch
+/// (`bench_des`'s subset scale): every endpoint sends a window of
+/// `DES_WINDOW` x `DES_MESSAGE` messages to one partner over an adaptive
+/// route, all injected at t = 0. Large enough that the radix heap spreads
+/// events over many buckets, and the injection burst is one big tie.
+#[test]
+fn soa_core_matches_reference_on_mpigraph_subset() {
+    let df = Dragonfly::build(DragonflyParams::scaled(16, 8, 8));
+    let n = df.params().total_endpoints();
+    assert_eq!(n, 1_024);
+    let mut rng = StreamRng::for_component(7, "mpigraph-pairs", 0);
+    let pairs = mpigraph_pairs(n, &mut rng);
+    let flows = Router::new(&df, RoutePolicy::adaptive_default()).route_all(&pairs, 0, 7);
+    let mut msgs = Vec::with_capacity(flows.len() * DES_WINDOW);
+    let mut batch = MessageBatch::new();
+    for (i, f) in flows.iter().enumerate() {
+        let path: Arc<[_]> = Arc::from(&f.path[..]);
+        let span = batch.intern(&path);
+        for _ in 0..DES_WINDOW {
+            msgs.push(Message::on(
+                path.clone(),
+                DES_MESSAGE,
+                SimTime::ZERO,
+                i as u64,
+            ));
+            batch.push(span, DES_MESSAGE, SimTime::ZERO, i as u64);
+        }
+    }
+    assert_eq!(batch.total_hops(), 22_668);
+    let cfg = DesConfig::default();
+    assert_eq!(
+        simulate(df.topology(), &cfg, &batch),
+        simulate_reference(df.topology(), &cfg, &msgs)
+    );
 }
 
 proptest! {
@@ -108,24 +147,6 @@ proptest! {
         let oracle = simulate_reference(df.topology(), &cfg, &msgs);
         let soa = simulate(df.topology(), &cfg, &batch);
         prop_assert_eq!(soa, oracle);
-    }
-
-    /// Calendar-queue and binary-heap scheduling of the same batch are
-    /// bit-identical (the fabric-level restatement of the sim-core
-    /// scheduler parity contract).
-    #[test]
-    fn calendar_and_heap_schedules_agree(
-        n_msgs in 1usize..40,
-        size_kib in 1u64..4_096,
-        skew_ns in 0u64..2_000,
-        seed in 0u64..1_000,
-    ) {
-        let df = df();
-        let cfg = DesConfig::default();
-        let (_msgs, batch) = random_batch(&df, n_msgs, size_kib, skew_ns, seed);
-        let cal = simulate_with(df.topology(), &cfg, &batch, QueueKind::Calendar);
-        let heap = simulate_with(df.topology(), &cfg, &batch, QueueKind::BinaryHeap);
-        prop_assert_eq!(cal, heap);
     }
 
     /// Adding a message never speeds up the rest of the batch (FIFO work

@@ -5,7 +5,7 @@
 //! own integration-test binary and serialize on a file-local mutex; the
 //! unit tests inside `sim-core` use private registries and stay parallel.
 
-use frontier_fabric::des::{simulate, simulate_with, DesConfig, MessageBatch, QueueKind};
+use frontier_fabric::des::{simulate, DesConfig, MessageBatch};
 use frontier_fabric::dragonfly::{Dragonfly, DragonflyParams};
 use frontier_fabric::maxmin::solve_maxmin;
 use frontier_fabric::routing::{RoutePolicy, Router};
@@ -193,31 +193,6 @@ fn des_counts_messages_and_hop_events() {
     // Store-and-forward: one event per (message, hop).
     assert_eq!(snap.counters["fabric.des.events"], total_hops);
     assert!(snap.gauges["fabric.des.makespan_ns_max"] > 0.0);
-    // This burst is far below CALENDAR_MIN_HOP_EVENTS, so auto-selection
-    // picks the binary heap and no calendar telemetry appears…
-    assert!(
-        !snap
-            .histograms
-            .contains_key("fabric.des.calendar.bucket_occupancy"),
-        "auto-selection should have picked the heap for a tiny burst"
-    );
-
-    // …but pinning the calendar explicitly reports its bucket-occupancy
-    // telemetry for the injection burst.
-    metrics::set_enabled(true);
-    metrics::global().reset();
-    simulate_with(
-        df.topology(),
-        &DesConfig::default(),
-        &batch,
-        QueueKind::Calendar,
-    );
-    let snap = metrics::global().snapshot();
-    metrics::set_enabled(false);
-    assert!(
-        snap.histograms["fabric.des.calendar.bucket_occupancy"].count() > 0,
-        "calendar occupancy histogram missing"
-    );
 }
 
 #[test]

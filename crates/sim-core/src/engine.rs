@@ -2,28 +2,20 @@
 //!
 //! Events carry a payload `E`, are scheduled at absolute [`SimTime`]
 //! instants, and are delivered in non-decreasing time order. Ties are broken
-//! by insertion sequence number, which makes event delivery *fully
-//! deterministic* — two events scheduled at the same instant always fire in
-//! the order they were scheduled, regardless of payload or queue internals.
+//! by insertion order, which makes event delivery *fully deterministic* —
+//! two events scheduled at the same instant always fire in the order they
+//! were scheduled, regardless of payload or queue internals.
 //!
-//! Two schedulers implement that contract behind the [`EventScheduler`] trait:
-//!
-//! * [`EventQueue`] — a binary heap. O(log n) per operation with a small
-//!   constant; the *reference* implementation every other scheduler is
-//!   property-tested against.
-//! * [`CalendarQueue`] — a calendar queue (Brown, CACM 1988) whose buckets
-//!   are small binary heaps. Near-O(1) per operation when event times are
-//!   spread (the common DES steady state: ~1 pending event per bucket), and
-//!   never worse than O(log n) per operation when they are not (e.g. the
-//!   all-messages-injected-at-t=0 burst that opens every message-level
-//!   network simulation).
-//!
-//! [`Simulator`] is generic over the scheduler and defaults to
-//! [`EventQueue`], so existing call sites are unchanged.
+//! [`Simulator`] schedules through a monotone radix heap (Ahuja, Mehlhorn,
+//! Orlin & Tarjan, JACM 1990). It relies on the one property every
+//! simulation has — nothing is scheduled before the current clock — and
+//! costs O(1) per push and amortized O(log₂ of the time span) moves per
+//! event, with no comparisons between payloads. [`EventQueue`], a binary
+//! heap keyed on `(time, insertion seq)`, accepts any time order and is the
+//! oracle the simulator is property-tested against.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::marker::PhantomData;
 
 use crate::time::SimTime;
 
@@ -55,32 +47,11 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The contract shared by every event scheduler: timestamped events go in,
-/// and come back out in `(time, insertion seq)` order — earliest first,
-/// same-instant ties delivered in the order they were pushed.
-///
-/// Two implementations must be *byte-identical* under any interleaving of
-/// pushes and pops (pinned by the parity proptests in `tests/proptests.rs`);
-/// the [`EventQueue`] binary heap is the reference, the [`CalendarQueue`]
-/// the data-oriented fast path.
-pub trait EventScheduler<E> {
-    /// Schedule `payload` for delivery at `time`.
-    fn push(&mut self, time: SimTime, payload: E);
-    /// Remove and return the earliest event (ties by insertion order).
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-    /// The delivery instant of the earliest pending event.
-    fn peek_time(&self) -> Option<SimTime>;
-    /// Number of pending events.
-    fn len(&self) -> usize;
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A deterministic priority queue of timestamped events.
-///
-/// This is the storage layer beneath [`Simulator`]; it can also be used
-/// directly when a component wants its own private event stream.
+/// A deterministic priority queue of timestamped events, in `(time,
+/// insertion seq)` order. Unlike [`Simulator`] it accepts pushes in any
+/// time order, which makes it the reference the simulator is checked
+/// against (and the scheduler of the DES oracle,
+/// `fabric::des::simulate_reference`).
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
@@ -94,26 +65,15 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// A queue whose heap is pre-sized for `capacity` pending events.
-    /// Workloads that schedule their whole initial event population up
-    /// front (e.g. one event per message) avoid the log₂(n) heap
-    /// regrowths of an empty queue.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
         }
-    }
-
-    /// Pending events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
     }
 
     /// Number of pending events.
@@ -143,509 +103,78 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl<E> EventScheduler<E> for EventQueue<E> {
-    fn push(&mut self, time: SimTime, payload: E) {
-        EventQueue::push(self, time, payload);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
+/// A monotone radix heap over picosecond timestamps.
+///
+/// `last` is the time of the most recent pop, and every pending event is
+/// at or after it. Events at exactly `last` wait in `front`; any other
+/// event at `t` waits in bucket `63 − lzcnt(t ^ last)`, the highest bit
+/// where `t` and `last` differ. A pop with `front` empty takes the lowest
+/// non-empty bucket, advances `last` to that bucket's minimum and
+/// re-pushes the bucket's events in order; each lands in `front` or a
+/// strictly lower bucket, and buckets above it keep their index because
+/// the new `last` agrees with the old one on every bit above the bucket's.
+///
+/// Ties pop in push order without a sequence number: two events at the
+/// same `t` always sit in the same bucket (the index depends only on `t`
+/// and `last`), every bucket and `front` are appended to and drained in
+/// order, so the earlier push stays ahead through every redistribution.
+struct RadixQueue<E> {
+    /// Events at exactly `last`, in push order.
+    front: VecDeque<E>,
+    /// `buckets[i]`: events whose time first differs from `last` at bit
+    /// `i`, in push order.
+    buckets: [Vec<(u64, E)>; 64],
+    /// Bit `i` is set iff `buckets[i]` is non-empty.
+    occupied: u64,
+    last: u64,
 }
 
-/// Smallest/largest bucket counts the calendar will use. The floor keeps
-/// tiny queues from resizing constantly; the ceiling bounds redistribution
-/// cost and memory for enormous event populations.
-const CAL_MIN_BUCKETS: usize = 16;
-const CAL_MAX_BUCKETS: usize = 1 << 20;
-
-/// Pre-sizing cap for [`CalendarQueue::with_capacity`]: past this, a
-/// bucket-per-event array stops paying off — the bucket headers outgrow
-/// the cache and every sweep peek becomes a miss. Larger populations run
-/// at a few events per bucket instead, which the FIFO buckets absorb in
-/// O(1) per event.
-const CAL_PRESIZE_MAX_BUCKETS: usize = 1 << 16;
-
-/// When the pop sweep has peeked this many empty buckets (per live bucket)
-/// since the last redistribution, the width estimate is stale: rebuild the
-/// calendar from the live population. Amortized, this bounds sweep waste
-/// to a small constant per pop while keeping redistributions rare.
-///
-/// A *provisional* width — one calibrated from a zero-span population,
-/// i.e. a same-instant injection burst, where any width is a blind guess —
-/// gets a much smaller budget ([`CAL_PROVISIONAL_WASTE`]): the first sign
-/// of real sweep waste replaces it with an estimate from the by-then
-/// spread-out population.
-const CAL_WASTE_FACTOR: u64 = 4;
-const CAL_PROVISIONAL_WASTE: u64 = 1024;
-
-/// One calendar bucket: a FIFO fast path plus an out-of-order side heap.
-///
-/// DES workloads push *almost sorted* streams — an injection burst pushes
-/// thousands of same-instant events in seq order, and steady-state
-/// follow-ups usually land later than anything already in their bucket.
-/// Events that arrive in non-decreasing `(time, seq)` order relative to
-/// the FIFO's tail are appended to a `VecDeque` and pop in O(1) with
-/// linear memory traffic; only genuinely out-of-order arrivals pay the
-/// side heap's O(log n). The bucket's pop order is the exact `(time, seq)`
-/// min across both halves, so the structure is invisible to callers.
-struct Bucket<E> {
-    fifo: VecDeque<Scheduled<E>>,
-    heap: BinaryHeap<Scheduled<E>>,
-}
-
-impl<E> Bucket<E> {
+impl<E> RadixQueue<E> {
     fn new() -> Self {
-        Bucket {
-            fifo: VecDeque::new(),
-            heap: BinaryHeap::new(),
+        RadixQueue {
+            front: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            last: 0,
         }
     }
 
-    fn len(&self) -> usize {
-        self.fifo.len() + self.heap.len()
-    }
-
-    fn push(&mut self, s: Scheduled<E>) {
-        match self.fifo.back() {
-            // Seq numbers are globally increasing, so tail.time <= s.time
-            // already implies (tail.time, tail.seq) < (s.time, s.seq).
-            Some(tail) if s.time < tail.time => self.heap.push(s),
-            _ => self.fifo.push_back(s),
-        }
-    }
-
-    /// The bucket's `(time, seq)` minimum.
-    fn peek(&self) -> Option<&Scheduled<E>> {
-        match (self.fifo.front(), self.heap.peek()) {
-            (Some(f), Some(h)) => {
-                if (f.time, f.seq) <= (h.time, h.seq) {
-                    Some(f)
-                } else {
-                    Some(h)
-                }
-            }
-            (Some(f), None) => Some(f),
-            (None, h) => h,
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        match (self.fifo.front(), self.heap.peek()) {
-            (Some(f), Some(h)) => {
-                if (f.time, f.seq) <= (h.time, h.seq) {
-                    self.fifo.pop_front()
-                } else {
-                    self.heap.pop()
-                }
-            }
-            (Some(_), None) => self.fifo.pop_front(),
-            (None, _) => self.heap.pop(),
-        }
-    }
-
-    /// Move every event into `out` (arbitrary order), keeping both
-    /// halves' allocations for reuse.
-    fn drain_into(&mut self, out: &mut Vec<Scheduled<E>>) {
-        out.extend(self.fifo.drain(..));
-        out.extend(self.heap.drain());
-    }
-}
-
-/// A calendar-queue scheduler: a power-of-two array of buckets, each
-/// covering a `width`-picosecond slice of the time axis, cycled through
-/// year after year (year = `buckets.len() * width`).
-///
-/// Design choices that keep it deterministic and robust:
-///
-/// * **Buckets are FIFO-first** (see [`Bucket`]): pushes arriving in
-///   non-decreasing time order append to a ring buffer in O(1); only
-///   out-of-order arrivals pay a side binary heap. DES workloads push
-///   almost-sorted (a t=0 injection burst is *exactly* sorted), so the
-///   common path is a linear-memory append/pop with no comparisons
-///   beyond one against the FIFO tail — and the `(time, seq)` total
-///   order of [`EventQueue`] is preserved exactly.
-/// * **The bucket width is derived from the pending events themselves**
-///   (span / population, recomputed at every resize), never from wall
-///   clocks or randomness, so the structure — and therefore every pop —
-///   is a pure function of the push history.
-/// * **Recalibration is waste-driven**: the pop sweep counts fruitless
-///   bucket inspections, and when they exceed [`CAL_WASTE_FACTOR`] ×
-///   buckets the calendar rebuilds itself with a width re-derived from
-///   the live population. A width frozen by an unlucky early calibration
-///   (e.g. during a same-instant burst, when the span is zero) heals
-///   after a bounded amount of wasted sweeping instead of degrading the
-///   whole run.
-/// * **Pops sweep buckets by year**: an event in bucket `b` is deliverable
-///   only when the sweep's current year matches the event's own
-///   `time / width` year, so far-future events parked in the same bucket
-///   cannot jump the queue. If a full sweep finds nothing (sparse queue),
-///   the minimum over bucket tops is taken directly — O(buckets), rare,
-///   and exact.
-pub struct CalendarQueue<E> {
-    /// Power-of-two bucket array; each bucket FIFO-first (see [`Bucket`]).
-    buckets: Vec<Bucket<E>>,
-    /// Bucket width in picoseconds (>= 1).
-    width: u64,
-    /// Year index (`time / width`) the pop sweep resumes from.
-    cur_year: u64,
-    len: usize,
-    next_seq: u64,
-    /// One-shot trigger: when `len` first reaches this, recompute the
-    /// width from the live population (used by [`CalendarQueue::with_capacity`],
-    /// which pre-sizes the bucket array and would otherwise never pass
-    /// through a width-calibrating grow).
-    calibrate_at: usize,
-    /// Fruitless bucket inspections by the pop sweep since the last
-    /// resize; when it crosses its budget the width is recalibrated
-    /// (see [`CalendarQueue::pop`]).
-    waste: u64,
-    /// True while `width` is a blind guess — initial, or calibrated from
-    /// a zero-span (same-instant) population. Provisional widths get the
-    /// eager [`CAL_PROVISIONAL_WASTE`] budget instead of the lax
-    /// [`CAL_WASTE_FACTOR`]-based one.
-    width_provisional: bool,
-    /// `(bucket, time)` of the current global minimum, when known.
-    /// `None` means *unknown*, not *empty* (`len` answers that). Pushes
-    /// keep a known minimum fresh in O(1) (a new event either beats it
-    /// or cannot be it); pops re-validate in O(1) when the drained
-    /// bucket still holds events of the current year, and otherwise
-    /// leave the cache unknown so the locating sweep runs at the *next*
-    /// pop — after any follow-up pushes have landed, which keeps the
-    /// sweep as short as it was before the cache existed. Makes
-    /// [`CalendarQueue::peek_time`] a pure `&self` read (falling back to
-    /// a non-mutating scan while unknown), so the [`EventScheduler`]
-    /// trait needs no mutable peek.
-    ///
-    /// Invariant: whenever this is `Some((b, t))`, `t` is the true
-    /// global minimum, `b` is its bucket, and `cur_year` is `t`'s year.
-    cached_next: Option<(usize, SimTime)>,
-}
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> CalendarQueue<E> {
-    pub fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..CAL_MIN_BUCKETS).map(|_| Bucket::new()).collect(),
-            // 1 ns: a neutral starting width; the first resize replaces it
-            // with an estimate from the actual event population.
-            width: 1_000,
-            cur_year: 0,
-            len: 0,
-            next_seq: 0,
-            calibrate_at: usize::MAX,
-            waste: 0,
-            width_provisional: true,
-            cached_next: None,
-        }
-    }
-
-    /// A calendar pre-sized for `capacity` pending events: the bucket array
-    /// starts at the target size (skipping the grow-doubling ladder), and
-    /// the width self-calibrates once the queue is half loaded.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let n = capacity
-            .next_power_of_two()
-            .clamp(CAL_MIN_BUCKETS, CAL_PRESIZE_MAX_BUCKETS);
-        CalendarQueue {
-            buckets: (0..n).map(|_| Bucket::new()).collect(),
-            width: 1_000,
-            cur_year: 0,
-            len: 0,
-            next_seq: 0,
-            calibrate_at: (n / 2).max(CAL_MIN_BUCKETS),
-            waste: 0,
-            width_provisional: true,
-            cached_next: None,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of buckets currently in the calendar.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Current bucket width in picoseconds.
-    pub fn bucket_width_ps(&self) -> u64 {
-        self.width
-    }
-
-    /// Visit every bucket's occupancy (pending events per bucket), in
-    /// bucket order. Used by telemetry to histogram how well the width
-    /// estimate is spreading the event population.
-    pub fn for_each_occupancy(&self, mut f: impl FnMut(usize)) {
-        for b in &self.buckets {
-            f(b.len());
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, ps: u64) -> usize {
-        ((ps / self.width) as usize) & (self.buckets.len() - 1)
-    }
-
-    /// Schedule `payload` at `time`.
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let ps = time.as_picos();
-        let year = ps / self.width;
-        // Rewind the sweep if this event lands before its resume point —
-        // the queue (unlike Simulator) accepts arbitrary time order.
-        if self.len == 0 || year < self.cur_year {
-            self.cur_year = year;
-        }
-        let b = self.bucket_of(ps);
-        self.buckets[b].push(Scheduled { time, seq, payload });
-        self.len += 1;
-        // A new event is the minimum iff it beats a known minimum; equal
-        // times keep the incumbent (its seq is lower — and equal times
-        // land in the same bucket anyway). An unknown cache stays
-        // unknown: one push can't reveal the rest of the queue. The sole
-        // event of a previously empty queue is trivially the minimum.
-        match self.cached_next {
-            Some((_, t)) if time >= t => {}
-            Some(_) => self.cached_next = Some((b, time)),
-            None if self.len == 1 => self.cached_next = Some((b, time)),
-            None => {}
-        }
-        if self.len > 4 * self.buckets.len() && self.buckets.len() < CAL_MAX_BUCKETS {
-            let target = self.buckets.len() * 2;
-            self.resize(target);
-        } else if self.len >= self.calibrate_at {
-            self.calibrate_at = usize::MAX;
-            let target = self.buckets.len();
-            self.resize(target);
-        }
-    }
-
-    /// Remove and return the earliest event (ties by insertion order).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // A known cache names the bucket holding the global minimum, so
-        // the extraction is O(1); otherwise locate it with the sweep.
-        // Sweeping here — not when the previous pop invalidated the
-        // cache — matters: the events pushed in between (a DES step's
-        // follow-ups) usually land just ahead of the drained instant and
-        // stop the sweep almost immediately.
-        let b = match self.cached_next {
-            Some((b, _)) => b,
-            None => self.find_next()?,
-        };
-        let s = self.buckets[b].pop()?;
-        self.len -= 1;
-        // Shrink or recalibrate if the structure has gone stale, and
-        // re-validate the cached minimum: O(1) when bucket `b` (which held
-        // the popped minimum) still has events of the current year, since
-        // that year lives only in `b` and everything else in the queue is
-        // later. Otherwise the cache goes unknown and the next access pays
-        // the sweep.
-        if self.len * 4 < self.buckets.len() && self.buckets.len() > CAL_MIN_BUCKETS {
-            let target = (self.buckets.len() / 2).max(CAL_MIN_BUCKETS);
-            self.resize(target);
+    /// Queue `payload` at `t`, which must be at or after `last`.
+    fn push(&mut self, t: u64, payload: E) {
+        debug_assert!(t >= self.last, "radix queue push before the last pop");
+        if t == self.last {
+            self.front.push_back(payload);
         } else {
-            self.cached_next = match self.buckets[b].peek() {
-                Some(top) if top.time.as_picos() / self.width == self.cur_year => {
-                    Some((b, top.time))
-                }
-                _ => None,
-            };
-            let budget = if self.width_provisional {
-                CAL_PROVISIONAL_WASTE
-            } else {
-                CAL_WASTE_FACTOR * self.buckets.len() as u64 + 256
-            };
-            if self.waste > budget {
-                // The sweep has wasted more inspections than the calendar
-                // can amortize: the width is stale (e.g. it was calibrated
-                // during a same-instant burst, when the population had zero
-                // span). Rebuild at the current bucket count to re-derive
-                // the width from the live population.
-                let target = self.buckets.len();
-                self.resize(target);
-            }
+            let b = 63 - (t ^ self.last).leading_zeros() as usize;
+            self.buckets[b].push((t, payload));
+            self.occupied |= 1 << b;
         }
-        Some((s.time, s.payload))
     }
 
-    /// The delivery instant of the earliest pending event. O(1) while
-    /// the cached minimum is known (pushes and same-year pops keep it
-    /// so); otherwise a pure `&self` scan of the same structure the
-    /// mutating sweep walks, without advancing the sweep cursor.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some((_, t)) = self.cached_next {
-            return Some(t);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.buckets.len();
-        let mask = (nb - 1) as u64;
-        for step in 0..nb as u64 {
-            if let Some(year) = self.cur_year.checked_add(step) {
-                let b = (year & mask) as usize;
-                if let Some(top) = self.buckets[b].peek() {
-                    if top.time.as_picos() / self.width == year {
-                        return Some(top.time);
-                    }
-                }
+    fn pop(&mut self) -> Option<(u64, E)> {
+        if self.front.is_empty() && self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << b);
+            // Take the bucket out so its events can be re-pushed, then put
+            // the emptied vector back to keep its allocation.
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            self.last = bucket.iter().map(|&(t, _)| t).min()?;
+            for (t, payload) in bucket.drain(..) {
+                self.push(t, payload);
             }
+            self.buckets[b] = bucket;
         }
-        self.buckets
-            .iter()
-            .filter_map(|b| b.peek().map(|s| (s.time, s.seq)))
-            .min()
-            .map(|(t, _)| t)
-    }
-
-    /// Locate the bucket holding the global minimum `(time, seq)` event and
-    /// advance `cur_year` to that event's year. Sweeps at most one full
-    /// calendar year bucket-by-bucket; if the queue is too sparse for the
-    /// sweep to connect, falls back to a direct minimum over bucket tops.
-    fn find_next(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.buckets.len();
-        let mask = (nb - 1) as u64;
-        for step in 0..nb as u64 {
-            if self.width_provisional && step == CAL_PROVISIONAL_WASTE {
-                // The width is a blind guess and this single sweep has
-                // already blown its whole waste budget: recalibrate now
-                // (the rebuild also repositions `cur_year` at the true
-                // minimum) and rerun the sweep with the solid width.
-                let target = nb;
-                self.resize(target);
-                return self.find_next();
-            }
-            let year = match self.cur_year.checked_add(step) {
-                Some(y) => y,
-                None => break, // beyond the time axis; use the fallback
-            };
-            let b = (year & mask) as usize;
-            if let Some(top) = self.buckets[b].peek() {
-                if top.time.as_picos() / self.width == year {
-                    self.cur_year = year;
-                    // Buckets inspected before the hit were fruitless.
-                    self.waste += step;
-                    return Some(b);
-                }
-            }
-        }
-        // Sparse queue: no event within a year of the sweep start. The
-        // minimum over bucket tops is exact (each top is its bucket's
-        // minimum) and O(buckets).
-        self.waste += nb as u64;
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            if let Some(top) = bucket.peek() {
-                let key = (top.time, top.seq, i);
-                if best.is_none_or(|(t, s, _)| (top.time, top.seq) < (t, s)) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(t, _, b)| {
-            self.cur_year = t.as_picos() / self.width;
-            b
-        })
-    }
-
-    /// Rebuild the calendar with `new_buckets` buckets and a width derived
-    /// from the live population: the pending span divided by the
-    /// population, clamped to at least 1 ps — aiming at ~1 event per
-    /// bucket-year slot. Resets the waste counter: the new width gets a
-    /// full budget before it can be declared stale in turn.
-    fn resize(&mut self, new_buckets: usize) {
-        let new_buckets = new_buckets.clamp(CAL_MIN_BUCKETS, CAL_MAX_BUCKETS);
-        let mut all: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            b.drain_into(&mut all);
-        }
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for s in &all {
-            let ps = s.time.as_picos();
-            lo = lo.min(ps);
-            hi = hi.max(ps);
-        }
-        self.width_provisional = all.is_empty() || hi == lo;
-        self.width = if self.width_provisional {
-            1_000
-        } else {
-            // Bias the density estimate wide by 4x. Too-wide is cheap (a
-            // few events share a bucket-year and the FIFO absorbs them);
-            // too-narrow costs a cache-missing peek per empty bucket the
-            // sweep crosses. And the estimate is stale in the narrow
-            // direction the moment it is taken: a draining simulation's
-            // pending population keeps spreading out in time.
-            (4 * ((hi - lo) / all.len() as u64)).max(1)
-        };
-        // Redistribute in `(time, seq)` order so every event lands on its
-        // bucket's FIFO fast path. The stable sort is adaptive: the input
-        // is near-sorted already (burst-heavy buckets drain their FIFOs in
-        // order), so this is closer to a merge pass than a full sort.
-        all.sort_by_key(|s| (s.time, s.seq));
-        // A same-size rebuild (width recalibration) reuses the bucket
-        // array and every bucket's buffers; only genuine grows/shrinks
-        // reallocate.
-        if new_buckets != self.buckets.len() {
-            self.buckets = (0..new_buckets).map(|_| Bucket::new()).collect();
-        }
-        self.cur_year = if all.is_empty() { 0 } else { lo / self.width };
-        self.waste = 0;
-        // The sorted population's head is the global minimum: cache it
-        // directly instead of paying a sweep.
-        self.cached_next = all
-            .first()
-            .map(|s| (self.bucket_of(s.time.as_picos()), s.time));
-        for s in all {
-            let b = self.bucket_of(s.time.as_picos());
-            self.buckets[b].push(s);
-        }
+        self.front.pop_front().map(|e| (self.last, e))
     }
 }
 
-impl<E> EventScheduler<E> for CalendarQueue<E> {
-    fn push(&mut self, time: SimTime, payload: E) {
-        CalendarQueue::push(self, time, payload);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        CalendarQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        CalendarQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// A discrete-event simulator: an [`EventScheduler`] plus a monotone clock.
-///
-/// Generic over the scheduler and defaulting to the binary-heap
-/// [`EventQueue`]; [`Simulator::calendar`]/[`Simulator::calendar_with_capacity`]
-/// build one over a [`CalendarQueue`] instead. Both deliver events in the
-/// identical deterministic order.
+/// A discrete-event simulator: a monotone clock over a radix-heap event
+/// queue.
 ///
 /// The simulator enforces causality: events cannot be scheduled in the past,
-/// and [`Simulator::now`] never decreases.
+/// and [`Simulator::now`] never decreases. Events at the same instant are
+/// delivered in the order they were scheduled — the same order as
+/// [`EventQueue`].
 ///
 /// # Examples
 ///
@@ -665,11 +194,8 @@ impl<E> EventScheduler<E> for CalendarQueue<E> {
 /// }
 /// assert_eq!(order, vec![(1, Ev::Start), (5, Ev::Stop)]);
 /// ```
-pub struct Simulator<E, Q: EventScheduler<E> = EventQueue<E>> {
-    queue: Q,
-    now: SimTime,
-    processed: u64,
-    _payload: PhantomData<fn() -> E>,
+pub struct Simulator<E> {
+    queue: RadixQueue<E>,
 }
 
 impl<E> Default for Simulator<E> {
@@ -680,60 +206,15 @@ impl<E> Default for Simulator<E> {
 
 impl<E> Simulator<E> {
     pub fn new() -> Self {
-        Simulator::over(EventQueue::new())
-    }
-
-    /// A simulator whose event queue is pre-sized for `capacity` pending
-    /// events (see [`EventQueue::with_capacity`]).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Simulator::over(EventQueue::with_capacity(capacity))
-    }
-}
-
-impl<E> Simulator<E, CalendarQueue<E>> {
-    /// A simulator scheduling through a [`CalendarQueue`].
-    pub fn calendar() -> Self {
-        Simulator::over(CalendarQueue::new())
-    }
-
-    /// A calendar-queue simulator pre-sized for `capacity` pending events
-    /// (see [`CalendarQueue::with_capacity`]).
-    pub fn calendar_with_capacity(capacity: usize) -> Self {
-        Simulator::over(CalendarQueue::with_capacity(capacity))
-    }
-}
-
-impl<E, Q: EventScheduler<E>> Simulator<E, Q> {
-    /// A simulator over an explicit scheduler instance.
-    pub fn over(queue: Q) -> Self {
         Simulator {
-            queue,
-            now: SimTime::ZERO,
-            processed: 0,
-            _payload: PhantomData,
+            queue: RadixQueue::new(),
         }
-    }
-
-    /// Borrow the underlying scheduler (e.g. to read calendar-queue
-    /// occupancy telemetry mid-run).
-    pub fn queue(&self) -> &Q {
-        &self.queue
     }
 
     /// Current simulated time: the timestamp of the most recently popped
     /// event (or zero before any event has fired).
     pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total events delivered so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Pending (not yet delivered) events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
+        SimTime::from_picos(self.queue.last)
     }
 
     /// Schedule an event at an absolute instant.
@@ -742,35 +223,27 @@ impl<E, Q: EventScheduler<E>> Simulator<E, Q> {
     /// Panics if `time` is before the current clock (causality violation).
     pub fn schedule_at(&mut self, time: SimTime, payload: E) {
         assert!(
-            time >= self.now,
+            time >= self.now(),
             "causality violation: scheduling at {time} but now is {}",
-            self.now
+            self.now()
         );
-        self.queue.push(time, payload);
+        self.queue.push(time.as_picos(), payload);
     }
 
     /// Schedule an event `delay` after the current clock.
     pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
         let t = self
-            .now
+            .now()
             .checked_add(delay)
             // simlint::allow(panic-in-lib): clock overflow (~584 years at ns ticks) is unrepresentable state, not a recoverable error; a Result here would infect every schedule site
             .expect("simulation clock overflow");
-        self.queue.push(t, payload);
+        self.queue.push(t.as_picos(), payload);
     }
 
     /// Deliver the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (t, e) = self.queue.pop()?;
-        debug_assert!(t >= self.now);
-        self.now = t;
-        self.processed += 1;
-        Some((t, e))
-    }
-
-    /// Timestamp of the next event without delivering it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        Some((SimTime::from_picos(t), e))
     }
 
     /// Run the handler over every event until the queue drains or the
@@ -779,27 +252,14 @@ impl<E, Q: EventScheduler<E>> Simulator<E, Q> {
     where
         F: FnMut(&mut Self, SimTime, E) -> bool,
     {
-        let start = self.processed;
+        let mut delivered = 0;
         while let Some((t, e)) = self.pop() {
+            delivered += 1;
             if !handler(self, t, e) {
                 break;
             }
         }
-        self.processed - start
-    }
-
-    /// Run until the clock would pass `deadline`; events after the deadline
-    /// remain queued. Returns the number of events delivered.
-    pub fn run_until<F>(&mut self, deadline: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Self, SimTime, E),
-    {
-        let start = self.processed;
-        while self.peek_time().is_some_and(|t| t <= deadline) {
-            let Some((t, e)) = self.pop() else { break };
-            handler(self, t, e);
-        }
-        self.processed - start
+        delivered
     }
 }
 
@@ -874,18 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = Simulator::new();
-        for i in 1..=10u64 {
-            sim.schedule_at(SimTime::from_micros(i), i);
-        }
-        let n = sim.run_until(SimTime::from_micros(4), |_, _, _| {});
-        assert_eq!(n, 4);
-        assert_eq!(sim.pending(), 6);
-        assert_eq!(sim.now(), SimTime::from_micros(4));
-    }
-
-    #[test]
     fn run_handler_early_stop() {
         let mut sim = Simulator::new();
         for i in 1..=10u64 {
@@ -893,48 +341,22 @@ mod tests {
         }
         let n = sim.run(|_, _, v| v < 3);
         assert_eq!(n, 3); // stops after delivering v == 3
-        assert_eq!(sim.pending(), 7);
+        assert_eq!(sim.pop(), Some((SimTime::from_micros(4), 4)));
     }
 
     #[test]
-    fn with_capacity_pre_sizes_the_heap() {
-        let q: EventQueue<u64> = EventQueue::with_capacity(1000);
-        assert!(q.is_empty());
-        assert!(q.capacity() >= 1000);
-        let mut sim: Simulator<u64> = Simulator::with_capacity(64);
-        sim.schedule_at(SimTime::from_nanos(1), 1);
-        assert_eq!(sim.pop(), Some((SimTime::from_nanos(1), 1)));
-    }
-
-    #[test]
-    fn calendar_peek_time_is_immutable_and_exact() {
-        // The trait peek and the inherent peek are the same &self read,
-        // and stay correct across pushes (including out-of-order ones),
-        // pops, and resizes.
-        let mut q: CalendarQueue<u32> = CalendarQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_micros(5), 5);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
-        q.push(SimTime::from_micros(2), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
-        q.push(SimTime::from_micros(9), 9);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(2)));
-        // Force growth resizes and keep checking against a heap oracle.
-        let mut oracle: EventQueue<u32> = EventQueue::new();
-        for v in [5u32, 2, 9] {
-            oracle.push(SimTime::from_micros(u64::from(v)), v);
-        }
-        for i in 0..2_000u32 {
-            let t = SimTime::from_nanos(u64::from(i * 37 % 1_999));
-            q.push(t, i);
-            oracle.push(t, i);
-            assert_eq!(q.peek_time(), oracle.peek_time());
-        }
-        while let Some(got) = q.pop() {
-            assert_eq!(Some(got), oracle.pop());
-            assert_eq!(q.peek_time(), oracle.peek_time());
-        }
-        assert!(oracle.is_empty());
+    fn same_instant_push_after_pop_queues_behind_earlier_ties() {
+        // An event scheduled at exactly `now` goes behind the events
+        // already pending at that instant, as in the heap.
+        let mut sim = Simulator::new();
+        let t = SimTime::from_nanos(7);
+        sim.schedule_at(t, 0);
+        sim.schedule_at(t, 1);
+        assert_eq!(sim.pop(), Some((t, 0)));
+        sim.schedule_in(SimTime::ZERO, 2);
+        sim.schedule_at(SimTime::from_nanos(8), 3);
+        let rest: Vec<u32> = std::iter::from_fn(|| sim.pop().map(|(_, e)| e)).collect();
+        assert_eq!(rest, vec![1, 2, 3]);
     }
 
     #[test]

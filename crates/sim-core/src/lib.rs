@@ -3,8 +3,8 @@
 //! Substrate crate for the Frontier full-system simulator: a deterministic
 //! discrete-event simulation (DES) engine, reproducible per-component random
 //! number streams, a statistics toolkit (online moments, percentiles, linear
-//! and logarithmic histograms), and unit-safe quantity types for bytes,
-//! bandwidth, time, and floating-point throughput.
+//! histograms), and unit-safe quantity types for bytes, bandwidth, time,
+//! and floating-point throughput.
 //!
 //! Everything in the higher-level crates (`frontier-node`, `frontier-fabric`,
 //! `frontier-storage`, ...) is built on these primitives, and every simulation
@@ -43,14 +43,14 @@ pub mod units;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::engine::{CalendarQueue, EventQueue, EventScheduler, Simulator};
-    pub use crate::hist::{Histogram, LogHistogram};
+    pub use crate::engine::{EventQueue, Simulator};
+    pub use crate::hist::Histogram;
     pub use crate::metrics::{self, MetricsRegistry, MetricsSnapshot, TimerScope};
     pub use crate::rng::StreamRng;
     pub use crate::stats::{percentile, OnlineStats, Summary};
     pub use crate::table::Table;
     pub use crate::time::SimTime;
-    pub use crate::trace::{Trace, TraceEvent};
+    pub use crate::trace::Trace;
     pub use crate::units::{Bandwidth, Bytes, Flops};
 }
 

@@ -909,8 +909,7 @@ pub fn shared() -> Option<&'static MetricsRegistry> {
 
 /// The label of the innermost *named* scope on this thread (see
 /// [`MetricsScope::enter_named`]), if any. Cheap when no scope exists
-/// anywhere: one relaxed load. Used by trace recording to tag spans with
-/// the unit of work they belong to.
+/// anywhere: one relaxed load.
 pub fn scope_label() -> Option<String> {
     if ACTIVE_STATE.load(Ordering::Relaxed) < SCOPE_UNIT {
         return None;
@@ -947,8 +946,8 @@ impl MetricsScope {
     }
 
     /// Install `registry` with a human-readable label (`"variant:17"`,
-    /// `"section:fig6"`) that trace spans recorded under this scope can
-    /// pick up via [`scope_label`].
+    /// `"section:fig6"`) that [`scope_label`] reports while it is
+    /// innermost.
     pub fn enter_named(label: impl Into<String>, registry: Arc<MetricsRegistry>) -> MetricsScope {
         Self::push(ScopeEntry {
             registry,

@@ -1,67 +1,34 @@
-//! Simulation event tracing.
+//! Span tracing.
 //!
-//! A lightweight timeline recorder: components emit `(time, track, label)`
-//! events while a simulation runs; afterwards the trace can be queried,
-//! summarized per track (busy time, event counts), or dumped as a
-//! chrome://tracing-style JSON array for visual inspection. Used by the
-//! examples to explain *where* simulated time went.
+//! An append-only list of `(track, label, scope, start, end)` spans,
+//! dumped as a chrome://tracing-style JSON array for visual inspection.
+//! `repro --trace FILE` records one span per rendered paper section with
+//! it, on the worker track that rendered the section.
 
 use crate::json;
-use crate::metrics;
 use crate::time::SimTime;
 
-/// One trace record: a point event or a span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    pub track: String,
-    pub label: String,
-    /// The metrics scope the span was recorded under (see
-    /// [`metrics::MetricsScope::enter_named`]) — `"variant:17"`,
-    /// `"section:fig6"` — or empty when no named scope was active.
-    /// Rendered into chrome://tracing `args` so spans are attributable to
-    /// their unit of work.
-    pub scope: String,
-    pub start: SimTime,
-    /// Equal to `start` for point events.
-    pub end: SimTime,
-}
-
-impl TraceEvent {
-    pub fn duration(&self) -> SimTime {
-        self.end - self.start
-    }
+/// One recorded span.
+#[derive(Debug, Clone)]
+struct Span {
+    track: String,
+    label: String,
+    /// The unit of work the span belongs to — `"variant:17"`,
+    /// `"section:fig6"` — or empty. Rendered into chrome://tracing `args`.
+    scope: String,
+    start: SimTime,
+    end: SimTime,
 }
 
 /// An append-only trace.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    spans: Vec<Span>,
 }
 
 impl Trace {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Record an instantaneous event.
-    pub fn point(&mut self, track: impl Into<String>, label: impl Into<String>, t: SimTime) {
-        self.span(track, label, t, t);
-    }
-
-    /// Record a span. Panics if `end < start`. The span's scope label is
-    /// taken from the innermost named [`metrics::MetricsScope`] on the
-    /// *recording* thread; use [`Trace::span_scoped`] to attribute a span
-    /// whose scope has already been exited (e.g. spans collected during a
-    /// parallel region and appended afterwards).
-    pub fn span(
-        &mut self,
-        track: impl Into<String>,
-        label: impl Into<String>,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let scope = metrics::scope_label().unwrap_or_default();
-        self.span_scoped(track, label, scope, start, end);
     }
 
     /// Record a span with an explicit scope label. Panics if `end < start`.
@@ -74,7 +41,7 @@ impl Trace {
         end: SimTime,
     ) {
         assert!(end >= start, "span ends before it starts");
-        self.events.push(TraceEvent {
+        self.spans.push(Span {
             track: track.into(),
             label: label.into(),
             scope: scope.into(),
@@ -84,64 +51,11 @@ impl Trace {
     }
 
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.spans.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events on one track, in recording order.
-    pub fn track<'a>(&'a self, track: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events.iter().filter(move |e| e.track == track)
-    }
-
-    /// Total busy (span) time on a track. Overlapping spans are merged so
-    /// concurrent work on one track is not double-counted.
-    pub fn busy_time(&self, track: &str) -> SimTime {
-        let mut spans: Vec<(u64, u64)> = self
-            .track(track)
-            .filter(|e| e.end > e.start)
-            .map(|e| (e.start.as_picos(), e.end.as_picos()))
-            .collect();
-        spans.sort_unstable();
-        let mut total = 0u64;
-        let mut cur: Option<(u64, u64)> = None;
-        for (s, e) in spans {
-            match cur {
-                Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-                Some((cs, ce)) => {
-                    total += ce - cs;
-                    cur = Some((s, e));
-                }
-                None => cur = Some((s, e)),
-            }
-        }
-        if let Some((cs, ce)) = cur {
-            total += ce - cs;
-        }
-        SimTime::from_picos(total)
-    }
-
-    /// The end of the last event across all tracks.
-    pub fn horizon(&self) -> SimTime {
-        self.events
-            .iter()
-            .map(|e| e.end)
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    /// Distinct track names, sorted. Dedups over borrowed `&str` first so
-    /// only the surviving names are cloned, not every event's track.
-    pub fn tracks(&self) -> Vec<String> {
-        let mut v: Vec<&str> = self.events.iter().map(|e| e.track.as_str()).collect();
-        v.sort_unstable();
-        v.dedup();
-        v.into_iter().map(str::to_owned).collect()
+        self.spans.is_empty()
     }
 
     /// chrome://tracing "traceEvents" JSON (complete events, µs units).
@@ -151,7 +65,7 @@ impl Trace {
     /// the tracing UI shows in the span's detail pane.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("[");
-        for (i, e) in self.events.iter().enumerate() {
+        for (i, e) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -164,7 +78,7 @@ impl Trace {
                 r#"{{"name":{},"cat":"sim","ph":"X","ts":{:.3},"dur":{:.3},"pid":0,"tid":{}{}}}"#,
                 json::escape(&e.label),
                 e.start.as_micros_f64(),
-                e.duration().as_micros_f64(),
+                (e.end - e.start).as_micros_f64(),
                 json::escape(&e.track),
                 args
             ));
@@ -179,52 +93,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_queries() {
-        let mut tr = Trace::new();
-        tr.span(
-            "gcd0",
-            "gemm",
-            SimTime::from_micros(0),
-            SimTime::from_micros(10),
-        );
-        tr.span(
-            "gcd0",
-            "copy",
-            SimTime::from_micros(10),
-            SimTime::from_micros(14),
-        );
-        tr.point("sched", "job-start", SimTime::from_micros(1));
-        assert_eq!(tr.len(), 3);
-        assert_eq!(tr.track("gcd0").count(), 2);
-        assert_eq!(tr.busy_time("gcd0"), SimTime::from_micros(14));
-        assert_eq!(tr.busy_time("sched"), SimTime::ZERO);
-        assert_eq!(tr.horizon(), SimTime::from_micros(14));
-        assert_eq!(tr.tracks(), vec!["gcd0".to_string(), "sched".to_string()]);
-    }
-
-    #[test]
-    fn overlapping_spans_merge() {
-        let mut tr = Trace::new();
-        tr.span("t", "a", SimTime::from_nanos(0), SimTime::from_nanos(100));
-        tr.span("t", "b", SimTime::from_nanos(50), SimTime::from_nanos(150));
-        tr.span("t", "c", SimTime::from_nanos(300), SimTime::from_nanos(400));
-        assert_eq!(tr.busy_time("t"), SimTime::from_nanos(250));
-    }
-
-    #[test]
     fn chrome_json_shape() {
         let mut tr = Trace::new();
-        tr.span(
+        tr.span_scoped(
             "nic",
             "msg",
+            "",
             SimTime::from_micros(2),
             SimTime::from_micros(5),
         );
+        assert_eq!(tr.len(), 1);
         let j = tr.to_chrome_json();
         assert!(j.starts_with('[') && j.ends_with(']'));
         assert!(j.contains(r#""ph":"X""#));
         assert!(j.contains(r#""tid":"nic""#));
         assert!(j.contains(r#""dur":3.000"#));
+        // Unscoped spans carry no args object at all.
+        assert!(!j.contains("\"args\""), "{j}");
     }
 
     #[test]
@@ -232,11 +117,8 @@ mod tests {
         // Regression: labels/tracks containing `"` or `\` used to be
         // spliced in raw, producing invalid JSON.
         let mut tr = Trace::new();
-        tr.point(
-            r#"tr"ack\"#,
-            "line1\nline2\"quoted\"",
-            SimTime::from_nanos(1),
-        );
+        let t = SimTime::from_nanos(1);
+        tr.span_scoped(r#"tr"ack\"#, "line1\nline2\"quoted\"", "", t, t);
         let j = tr.to_chrome_json();
         assert!(j.contains(r#""name":"line1\nline2\"quoted\"""#), "{j}");
         assert!(j.contains(r#""tid":"tr\"ack\\""#), "{j}");
@@ -257,34 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_pick_up_the_active_scope_label() {
-        use std::sync::Arc;
-        let reg = Arc::new(metrics::MetricsRegistry::new());
-        let mut tr = Trace::new();
-        {
-            let _scope = metrics::MetricsScope::enter_named("section:fig6", Arc::clone(&reg));
-            tr.span(
-                "worker-0",
-                "render",
-                SimTime::from_micros(0),
-                SimTime::from_micros(3),
-            );
-        }
-        tr.span(
-            "worker-0",
-            "after",
-            SimTime::from_micros(3),
-            SimTime::from_micros(4),
-        );
-        assert_eq!(tr.events()[0].scope, "section:fig6");
-        assert_eq!(tr.events()[1].scope, "");
-        let j = tr.to_chrome_json();
-        assert!(j.contains(r#""args":{"scope":"section:fig6"}"#), "{j}");
-        // Unscoped spans carry no args object at all.
-        assert_eq!(j.matches("\"args\"").count(), 1, "{j}");
-    }
-
-    #[test]
     fn span_scoped_sets_an_explicit_label() {
         let mut tr = Trace::new();
         tr.span_scoped(
@@ -294,22 +148,28 @@ mod tests {
             SimTime::from_nanos(0),
             SimTime::from_nanos(10),
         );
-        assert_eq!(tr.events()[0].scope, "variant:17");
-        assert!(tr.to_chrome_json().contains(r#""scope":"variant:17""#));
+        assert!(tr
+            .to_chrome_json()
+            .contains(r#""args":{"scope":"variant:17"}"#));
     }
 
     #[test]
     #[should_panic(expected = "ends before")]
     fn backwards_span_rejected() {
         let mut tr = Trace::new();
-        tr.span("t", "bad", SimTime::from_nanos(5), SimTime::from_nanos(1));
+        tr.span_scoped(
+            "t",
+            "bad",
+            "",
+            SimTime::from_nanos(5),
+            SimTime::from_nanos(1),
+        );
     }
 
     #[test]
     fn empty_trace() {
         let tr = Trace::new();
         assert!(tr.is_empty());
-        assert_eq!(tr.horizon(), SimTime::ZERO);
         assert_eq!(tr.to_chrome_json(), "[]");
     }
 }

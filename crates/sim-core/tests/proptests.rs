@@ -39,39 +39,43 @@ proptest! {
         }
     }
 
-    /// Scheduler parity: the calendar queue delivers an arbitrary
-    /// interleaving of pushes and pops byte-identically to the binary-heap
-    /// reference — same `(time, payload)` at every pop, same `peek_time`
-    /// before it. Times are bucketed coarsely so same-instant ties are
-    /// common, and pops are interleaved so the sweep cursor is exercised
-    /// against rewinds.
+    /// Scheduler parity: the radix-heap `Simulator` delivers a random
+    /// causal interleaving of pushes and pops exactly like the binary-heap
+    /// `EventQueue` oracle — same `(time, payload)` at every pop. Each
+    /// push lands at `now + delta`, with `delta` drawn below `2^e` for an
+    /// exponent `e` in 0..=62 (so every radix bucket sees traffic) and
+    /// rounded down to a multiple of `2^tie_shift`; all times then sit on
+    /// one coarse grid and same-instant ties are common.
     #[test]
-    fn calendar_queue_matches_heap_interleaved(
-        ops in proptest::collection::vec((0u64..100_000, proptest::bool::ANY), 1..400),
+    fn simulator_matches_heap_interleaved(
+        ops in proptest::collection::vec((0u64..1 << 62, 0u32..96), 1..400),
         tie_shift in 0u32..12,
     ) {
+        let mut sim: Simulator<u64> = Simulator::new();
         let mut heap: EventQueue<u64> = EventQueue::new();
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
         let mut payload = 0u64;
-        for &(t_raw, do_pop) in &ops {
-            if do_pop {
-                prop_assert_eq!(
-                    EventScheduler::peek_time(&cal),
-                    heap.peek_time(),
-                    "peek diverged"
-                );
-                prop_assert_eq!(cal.pop(), heap.pop(), "pop diverged");
+        for &(r, k) in &ops {
+            if k < 32 {
+                let got = sim.pop();
+                prop_assert_eq!(got, heap.pop(), "pop diverged");
+                if let Some((t, _)) = got {
+                    prop_assert_eq!(sim.now(), t);
+                }
             } else {
-                // Coarse bucketing clusters many pushes onto one instant.
-                let t = SimTime::from_picos((t_raw >> tie_shift) << tie_shift);
+                let e = (k - 32).min(62);
+                let delta = ((r >> (62 - e)) >> tie_shift) << tie_shift;
+                // Near the top of the time axis, skip pushes that overflow.
+                let Some(t) = sim.now().as_picos().checked_add(delta) else {
+                    continue;
+                };
+                let t = SimTime::from_picos(t);
+                sim.schedule_at(t, payload);
                 heap.push(t, payload);
-                cal.push(t, payload);
                 payload += 1;
             }
-            prop_assert_eq!(cal.len(), heap.len());
         }
         loop {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (sim.pop(), heap.pop());
             prop_assert_eq!(a, b, "drain diverged");
             if a.is_none() {
                 break;
@@ -79,27 +83,67 @@ proptest! {
         }
     }
 
-    /// Scheduler parity under the worst case for a calendar queue: every
-    /// event at the same instant (the t=0 injection burst of a
-    /// message-level simulation). Ties must drain in exact insertion
-    /// order, matching the heap.
+    /// Same-instant bursts — the t = 0 injection burst of a message-level
+    /// simulation — drain in exact insertion order, also when a second
+    /// burst at the same instant is pushed after some of the first popped.
     #[test]
-    fn calendar_queue_matches_heap_same_instant_burst(
+    fn simulator_matches_heap_same_instant_burst(
         n in 1usize..300,
-        t in 0u64..1_000,
-        capacity in 0usize..512,
+        refill in 0usize..300,
+        pops_between in 0usize..300,
+        t in 0u64..1 << 62,
     ) {
+        let mut sim: Simulator<usize> = Simulator::new();
         let mut heap: EventQueue<usize> = EventQueue::new();
-        let mut cal: CalendarQueue<usize> = CalendarQueue::with_capacity(capacity);
         let t = SimTime::from_picos(t);
         for i in 0..n {
+            sim.schedule_at(t, i);
             heap.push(t, i);
-            cal.push(t, i);
         }
-        for _ in 0..n {
-            prop_assert_eq!(cal.pop(), heap.pop());
+        for _ in 0..pops_between.min(n) {
+            prop_assert_eq!(sim.pop(), heap.pop());
         }
-        prop_assert!(cal.is_empty());
+        for i in n..n + refill {
+            sim.schedule_at(t, i);
+            heap.push(t, i);
+        }
+        for _ in 0..n + refill - pops_between.min(n) {
+            prop_assert_eq!(sim.pop(), heap.pop());
+        }
+        prop_assert_eq!(sim.pop(), None);
+        prop_assert!(heap.is_empty());
+    }
+
+    /// After every pop, events scheduled at exactly `now` queue behind the
+    /// events already pending at that instant and ahead of later ones.
+    #[test]
+    fn simulator_matches_heap_push_at_now_after_pop(
+        times in proptest::collection::vec(0u64..64, 1..100),
+        at_now in proptest::collection::vec(0u32..4, 1..100),
+    ) {
+        let mut sim: Simulator<u64> = Simulator::new();
+        let mut heap: EventQueue<u64> = EventQueue::new();
+        let mut payload = 0u64;
+        for &t in &times {
+            let t = SimTime::from_nanos(t);
+            sim.schedule_at(t, payload);
+            heap.push(t, payload);
+            payload += 1;
+        }
+        let mut step = 0;
+        while let Some(got) = sim.pop() {
+            prop_assert_eq!(Some(got), heap.pop());
+            // Bounded: stop feeding once 500 events have been scheduled.
+            if payload < 500 {
+                for _ in 0..at_now[step % at_now.len()] {
+                    sim.schedule_in(SimTime::ZERO, payload);
+                    heap.push(got.0, payload);
+                    payload += 1;
+                }
+            }
+            step += 1;
+        }
+        prop_assert!(heap.is_empty());
     }
 
     /// OnlineStats::merge is associative with sequential pushes.
