@@ -14,8 +14,9 @@
 //!
 //! Every run records the perf measurement in `BENCH_maxmin.json` at the
 //! workspace root (median ns per solve for both solvers, the speedup, the
-//! v3 freeze-event and component counts) so the solver's trend can be
-//! tracked. Exits non-zero with a diagnostic on any violation.
+//! v3 freeze-event and component counts) with the commit, build profile
+//! and thread count it ran under, so the solver's trend can be tracked.
+//! Exits non-zero with a diagnostic on any violation.
 
 use frontier_core::fabric::dragonfly::{Dragonfly, DragonflyParams};
 use frontier_core::fabric::maxmin::{solve_maxmin, solve_maxmin_reference};
@@ -26,7 +27,7 @@ use frontier_core::sim_core::rng::StreamRng;
 use frontier_core::sim_core::units::Bandwidth;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 // simlint::allow(wallclock): this binary *is* a wall-clock benchmark (v3 vs reference speedup gate); its timings are judged against a ratio, never byte-compared
 use std::time::Instant;
 
@@ -103,6 +104,35 @@ fn median_ns<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
+/// The commit the measurement ran on: `git rev-parse HEAD`, with `-dirty`
+/// appended when a tracked file other than `BENCH_maxmin.json` (which this
+/// binary rewrites) differs from it; `"unknown"` without git.
+fn commit() -> String {
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let head = git(&["rev-parse", "HEAD"]);
+    let status = git(&[
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        ":(top)",
+        ":(top,exclude)BENCH_maxmin.json",
+    ]);
+    match (head, status) {
+        (Some(head), Some(status)) if status.trim().is_empty() => head.trim().to_string(),
+        (Some(head), Some(_)) => format!("{}-dirty", head.trim()),
+        _ => "unknown".to_string(),
+    }
+}
+
 fn perf_gate() -> Result<(), String> {
     let df = Dragonfly::build(DragonflyParams::scaled(40, 16, 16));
     let topo = df.topology();
@@ -123,8 +153,15 @@ fn perf_gate() -> Result<(), String> {
         v3 / 1e6,
         reference / 1e6,
     );
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    // Both solvers run on the calling thread.
     let json = format!(
-        "{{\n  \"experiment\": \"maxmin_mpigraph_scale\",\n  \"flows\": {},\n  \"links\": {},\n  \"rounds\": {},\n  \"freeze_events\": {},\n  \"components\": {},\n  \"median_ns_v3\": {v3},\n  \"median_ns_reference\": {reference},\n  \"speedup\": {speedup:.2}\n}}\n",
+        "{{\n  \"experiment\": \"maxmin_mpigraph_scale\",\n  \"commit\": \"{}\",\n  \"profile\": \"{profile}\",\n  \"threads\": 1,\n  \"flows\": {},\n  \"links\": {},\n  \"rounds\": {},\n  \"freeze_events\": {},\n  \"components\": {},\n  \"median_ns_v3\": {v3},\n  \"median_ns_reference\": {reference},\n  \"speedup\": {speedup:.2}\n}}\n",
+        commit(),
         flows.len(),
         topo.num_links(),
         alloc.rounds,

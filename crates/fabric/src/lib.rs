@@ -14,8 +14,8 @@
 //!   flow-level equivalent of per-flow fair queueing (entry points plus the
 //!   reference oracle);
 //! * [`solver`] — the event-driven engine behind [`maxmin`]: a bottleneck
-//!   event heap, interference-component decomposition (independent
-//!   components solve concurrently), and the warm-start [`solver::Solver`]
+//!   event heap, interference-component decomposition (each independent
+//!   component is solved on its own), and the warm-start [`solver::Solver`]
 //!   that re-solves only the components a delta touches;
 //! * [`patterns`] — traffic generators (mpiGraph pairings, all-to-all,
 //!   incast, broadcast);

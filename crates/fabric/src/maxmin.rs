@@ -19,8 +19,8 @@
 //! The public entry points delegate to the event-driven engine in
 //! [`crate::solver`]: a min-heap of per-link saturation events jumps the
 //! water level freeze to freeze (lazily re-keying only touched links),
-//! and a union-find decomposition solves independent interference
-//! components concurrently. [`solve_maxmin_reference`], the
+//! and a union-find decomposition solves each independent interference
+//! component on its own. [`solve_maxmin_reference`], the
 //! straightforward per-round rescan, stays in this module as the parity
 //! oracle: property tests pin the engine to it at 1e-9 relative
 //! agreement, and the CI solver-regression gate benches the engine

@@ -22,7 +22,9 @@
 //!   `(avail − w·level) / (link_weight − w) ≥ avail / link_weight` — so a
 //!   stale entry only ever under-estimates, and the heap minimum, once
 //!   fresh, is the true next event. Cost: O(freezes · log links +
-//!   touched links) instead of O(rounds × links).
+//!   touched links) instead of O(rounds × links), with O(1) work per
+//!   touched link and per flow on a saturated link: dense global→local
+//!   maps, not searches, find a link's or a flow's place in its component.
 //!
 //! In front of the engine sits an **interference-component decomposition**:
 //! union-find over flows that share a link ([`UnionFind`]). Flows in
@@ -89,9 +91,9 @@ pub(crate) fn build_index(nl: usize, paths: &[&[LinkId]]) -> FlowIndex {
 
 /// Interference components: flows sharing any link are unioned; each
 /// returned group lists its member flow ids in ascending order, and the
-/// groups themselves are ordered by their smallest member — a
-/// deterministic decomposition regardless of how the solve later
-/// parallelizes. Flows with an empty path belong to no component.
+/// groups themselves are ordered by their smallest member, so the
+/// decomposition is deterministic. Flows with an empty path belong to no
+/// component.
 pub(crate) fn find_components(paths: &[&[LinkId]], idx: &FlowIndex) -> Vec<Vec<u32>> {
     let nf = paths.len();
     let mut uf = UnionFind::new(nf);
@@ -171,7 +173,7 @@ fn freeze_flow(
     comp: &[u32],
     paths: &[&[LinkId]],
     weights: &[f64],
-    links: &[u32],
+    lmap: &[u32],
     active: &mut [bool],
     rates: &mut [f64],
     avail: &mut [f64],
@@ -184,10 +186,7 @@ fn freeze_flow(
     rates[ci] = r;
     active[ci] = false;
     for l in paths[gfi] {
-        let li = links
-            .binary_search(&l.0)
-            // simlint::allow(panic-in-lib): component decomposition put every path link in `links`; a Result in the innermost freeze loop would cost more than the solve
-            .expect("path link outside its component");
+        let li = lmap[l.0 as usize] as usize;
         lweight[li] -= w;
         avail[li] -= r;
         stamps[li] = stamps[li].wrapping_add(1);
@@ -197,7 +196,13 @@ fn freeze_flow(
 /// Solve one interference component with the bottleneck-event engine.
 ///
 /// `comp` lists the member flow ids (ascending); all state is local to
-/// the component's link set, so disjoint components can run concurrently.
+/// the component's link set. `lmap` (per topology link) and `fmap` (per
+/// flow) are the dense global→local maps: `u32::MAX` everywhere on entry
+/// and on return, and in between the local link index and the member
+/// position for this component's links and flows. A lookup outside the
+/// component reads `u32::MAX` and fails the bounds check of the local
+/// array it indexes.
+#[allow(clippy::too_many_arguments)]
 fn solve_component(
     caps: &[f64],
     paths: &[&[LinkId]],
@@ -205,15 +210,29 @@ fn solve_component(
     weights: &[f64],
     idx: &FlowIndex,
     comp: &[u32],
+    lmap: &mut [u32],
+    fmap: &mut [u32],
 ) -> CompResult {
-    // Local link universe: every link any member crosses, sorted so the
-    // global→local mapping is a binary search.
-    let mut links: Vec<u32> = comp
-        .iter()
-        .flat_map(|&fi| paths[fi as usize].iter().map(|l| l.0))
-        .collect();
+    // Local link universe: every link any member crosses, pushed the first
+    // time `lmap` sees it, then sorted so local indices are monotone in the
+    // global id (the heap's tie-break compares them).
+    let mut links: Vec<u32> = Vec::new();
+    for &fi in comp {
+        for l in paths[fi as usize] {
+            let slot = &mut lmap[l.0 as usize];
+            if *slot == u32::MAX {
+                *slot = 0;
+                links.push(l.0);
+            }
+        }
+    }
     links.sort_unstable();
-    links.dedup();
+    for (li, &l) in links.iter().enumerate() {
+        lmap[l as usize] = li as u32;
+    }
+    for (ci, &fi) in comp.iter().enumerate() {
+        fmap[fi as usize] = ci as u32;
+    }
     let nll = links.len();
     let ncf = comp.len();
 
@@ -223,9 +242,7 @@ fn solve_component(
     for &fi in comp {
         let w = weights[fi as usize];
         for l in paths[fi as usize] {
-            // simlint::allow(panic-in-lib): `links` is built from exactly these paths two loops up; hot-path invariant, see DESIGN §3.6
-            let li = links.binary_search(&l.0).expect("link in local universe");
-            lweight[li] += w;
+            lweight[lmap[l.0 as usize] as usize] += w;
         }
     }
     let mut stamps = vec![0u32; nll];
@@ -332,7 +349,7 @@ fn solve_component(
                     comp,
                     paths,
                     weights,
-                    &links,
+                    lmap,
                     &mut active,
                     &mut rates,
                     &mut avail,
@@ -371,11 +388,7 @@ fn solve_component(
             // Freeze every active flow crossing the saturated link.
             let gl = links[li] as usize;
             for k in idx.off[gl]..idx.off[gl + 1] {
-                let gfi = idx.link_flows[k as usize];
-                let ci = comp
-                    .binary_search(&gfi)
-                    // simlint::allow(panic-in-lib): flows sharing a link are by construction in the same connected component
-                    .expect("link's flow outside its component");
+                let ci = fmap[idx.link_flows[k as usize] as usize] as usize;
                 if active[ci] {
                     n_active -= 1;
                     frozen_saturation += 1;
@@ -385,7 +398,7 @@ fn solve_component(
                         comp,
                         paths,
                         weights,
-                        &links,
+                        lmap,
                         &mut active,
                         &mut rates,
                         &mut avail,
@@ -397,6 +410,12 @@ fn solve_component(
         }
     }
 
+    for &l in &links {
+        lmap[l as usize] = u32::MAX;
+    }
+    for &fi in comp {
+        fmap[fi as usize] = u32::MAX;
+    }
     CompResult {
         rates,
         freezes,
@@ -406,9 +425,10 @@ fn solve_component(
 }
 
 /// Solve a set of components, scattering per-flow rates into `rates`
-/// (indexed by global flow id). Components share no state, so each one
-/// solves on its own. Returns `(freeze events, frozen by demand, frozen
-/// by saturation)`.
+/// (indexed by global flow id). Components share no model state, so each
+/// one solves on its own; the dense global→local maps are allocated once
+/// here and handed from component to component. Returns `(freeze events,
+/// frozen by demand, frozen by saturation)`.
 fn solve_components(
     caps: &[f64],
     paths: &[&[LinkId]],
@@ -418,12 +438,18 @@ fn solve_components(
     comps: &[Vec<u32>],
     rates: &mut [f64],
 ) -> (usize, u64, u64) {
+    let mut lmap = vec![u32::MAX; caps.len()];
+    let mut fmap = vec![u32::MAX; paths.len()];
     // Solve every component before scattering: freeing each result right
     // after its scatter leaves the heap fragmented enough to slow the next
     // full-machine topology build by ~30% (benchmark `repro_full` setup).
     let results: Vec<CompResult> = comps
         .iter()
-        .map(|comp| solve_component(caps, paths, demands, weights, idx, comp))
+        .map(|comp| {
+            solve_component(
+                caps, paths, demands, weights, idx, comp, &mut lmap, &mut fmap,
+            )
+        })
         .collect();
     let mut freezes = 0usize;
     let mut fd = 0u64;

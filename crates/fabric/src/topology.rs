@@ -180,7 +180,7 @@ impl Topology {
 /// Disjoint-set forest (union by rank, path halving) over dense `u32`
 /// ids. The solver unions flows that share a link to find independent
 /// interference components; each component's max-min solve touches a
-/// disjoint link set, so components can solve concurrently.
+/// disjoint link set, so each component is solved on its own.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<u32>,
