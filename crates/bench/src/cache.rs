@@ -24,7 +24,8 @@
 //! go). Eviction order is deterministic — the access tick is a per-family
 //! counter, not a clock. The `bench.cache.{family}.size` max-gauge tracks
 //! the high-water entry count, and [`purge`] drops everything eagerly for
-//! callers (campaign runs) that want a hard scope boundary.
+//! callers that need a cold cache, such as a benchmark that times every
+//! run from an empty registry.
 
 // simlint::allow-file(hash-iter-render): the registries are keyed get-or-insert
 // maps — nothing rendered derives from them. The one iteration, the LRU eviction
@@ -203,9 +204,10 @@ pub fn fattree(params: FatTreeParams) -> Arc<FatTree> {
     })
 }
 
-/// Drop every cached topology now — the explicit per-campaign scope drop.
-/// Outstanding `Arc` holders keep their instances; the registries simply
-/// forget them, so the next request rebuilds.
+/// Drop every cached topology now. Outstanding `Arc` holders keep their
+/// instances; the registries simply forget them, so the next request
+/// rebuilds.
+// simlint::allow(unreached-from-roots): the out-of-workspace benchmark (perfbench) empties the cache between timed runs
 pub fn purge() {
     if let Some(reg) = DRAGONFLY.get() {
         // simlint::allow(panic-in-lib): poisoned = a topology build already panicked; see `cached_with_capacity`

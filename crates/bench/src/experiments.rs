@@ -668,14 +668,14 @@ pub fn section_text_scoped(name: &str, scale: Scale) -> Option<(String, metrics:
         return None;
     }
     let registry = Arc::new(metrics::MetricsRegistry::new());
-    let scope =
-        metrics::MetricsScope::enter_named(format!("section:{name}"), Arc::clone(&registry));
+    let scope = metrics::MetricsScope::enter(Arc::clone(&registry));
     let text = section_text(name, scale)?;
     drop(scope);
     Some((text, registry.snapshot()))
 }
 
 /// Everything, in paper order.
+// simlint::allow(unreached-from-roots): benchmark entry point (perfbench's repro_full workload)
 pub fn all_text(scale: Scale) -> String {
     let sections: Vec<String> = PAPER_ORDER
         .iter()

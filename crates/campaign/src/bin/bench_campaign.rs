@@ -1,9 +1,9 @@
 //! Campaign-engine throughput harness and regression gate.
 //!
 //! Runs the reference grid — the full 9,472-node Frontier shape swept
-//! over 36 capacity points (link rate × protocol efficiency × taper
+//! over 18 capacity points (link rate × protocol efficiency × taper
 //! bundles) × 54 overlay variants (FIT scale × NVMe per node × power
-//! envelope) × 2 seeds ≈ 1,944 full-machine variants — serially and in
+//! envelope) × 2 seeds = 1,944 full-machine variants — serially and in
 //! parallel, and enforces:
 //!
 //! 1. **Parity**: the serial and parallel JSONL documents must be
@@ -53,44 +53,10 @@ const MAX_SCOPE_OVERHEAD: f64 = 1.05;
 
 /// The reference grid. Goes through the real TOML parser, so the bench
 /// also exercises the spec path end-to-end.
-const REFERENCE_GRID: &str = r#"
-name = "reference"
-seeds = [1, 2]
-workloads = ["mpigraph", "hpl", "mtti"]
-
-[machine]
-groups = [74]
-
-[sweep]
-link_rate_gbit = [150.0, 200.0, 250.0]
-protocol_efficiency = [0.65, 0.70]
-bundles_per_group_pair = [1, 2, 3]
-
-[overlay]
-fit_scale = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
-nvme_per_node = [1, 2, 4]
-power_scale = [0.9, 1.0, 1.1]
-"#;
+const REFERENCE_GRID: &str = include_str!("../../specs/reference.toml");
 
 /// The CI grid: same axis structure, toy shape.
-const QUICK_GRID: &str = r#"
-name = "quick"
-seeds = [1, 2]
-workloads = ["mpigraph", "hpl", "mtti"]
-
-[machine]
-groups = [8]
-switches_per_group = [4]
-endpoints_per_switch = [4]
-
-[sweep]
-link_rate_gbit = [160.0, 200.0]
-bundles_per_group_pair = [1, 2]
-
-[overlay]
-fit_scale = [1.0, 4.0]
-nvme_per_node = [1, 2]
-"#;
+const QUICK_GRID: &str = include_str!("../../specs/quick.toml");
 
 struct Measured {
     result: engine::CampaignResult,

@@ -160,18 +160,15 @@ pub fn run(spec: &CampaignSpec, mode: Mode) -> CampaignResult {
 /// [`run`] with explicit [`RunConfig`] options.
 pub fn run_with(spec: &CampaignSpec, cfg: &RunConfig) -> CampaignResult {
     let tracks = plan::plan(spec);
-    // The ordinal rides along so parallel tracks keep deterministic
-    // scope labels (`track:N`) independent of completion order.
-    let indexed: Vec<(usize, &Track)> = tracks.iter().enumerate().collect();
     let threads = match cfg.mode {
         Mode::Serial => 1,
         Mode::Parallel => metrics::all_cores(),
     };
     // Routed through the metrics Scope so a caller-installed scope (e.g. a
     // campaign-wide section) still claims track updates on worker threads;
-    // each track then nests its own `track:N` scope.
-    let per_track = metrics::Scope::current().par_map(&indexed, threads, |&(i, t)| {
-        run_track(spec, t, i, cfg.variant_metrics)
+    // each track then nests its own scope.
+    let per_track = metrics::Scope::current().par_map(&tracks, threads, |t| {
+        run_track(spec, t, cfg.variant_metrics)
     });
     let mut rows = Vec::with_capacity(spec.variant_count());
     let mut stats = SweepStats::default();
@@ -236,12 +233,7 @@ fn deterministic_snapshot(registry: &MetricsRegistry) -> MetricsSnapshot {
     snap
 }
 
-fn run_track(
-    spec: &CampaignSpec,
-    track: &Track,
-    ordinal: usize,
-    variant_metrics: bool,
-) -> TrackOutput {
+fn run_track(spec: &CampaignSpec, track: &Track, variant_metrics: bool) -> TrackOutput {
     // The track scope collects everything this track records outside a
     // nested step/variant scope — the routing pass and the per-track
     // sharing counters published below. Nested scopes shadow it (no
@@ -249,7 +241,7 @@ fn run_track(
     let track_registry = variant_metrics.then(|| Arc::new(MetricsRegistry::new()));
     let _track_scope = track_registry
         .as_ref()
-        .map(|r| MetricsScope::enter_named(format!("track:{ordinal}"), Arc::clone(r)));
+        .map(|r| MetricsScope::enter(Arc::clone(r)));
 
     let mut stats = SweepStats {
         tracks: 1,
@@ -295,9 +287,9 @@ fn run_track(
     let mut prev_step_full = MetricsSnapshot::default();
 
     for (step_idx, step) in track.steps.iter().enumerate() {
-        let step_scope = step_registry.as_ref().map(|r| {
-            MetricsScope::enter_named(format!("track:{ordinal}/step:{step_idx}"), Arc::clone(r))
-        });
+        let step_scope = step_registry
+            .as_ref()
+            .map(|r| MetricsScope::enter(Arc::clone(r)));
 
         let vparams = track.shape.params(&step.cap);
         let mpi = solver.as_mut().map(|s| {
@@ -342,7 +334,7 @@ fn run_track(
             let var_registry = variant_metrics.then(|| Arc::new(MetricsRegistry::new()));
             let var_scope = var_registry
                 .as_ref()
-                .map(|r| MetricsScope::enter_named(format!("variant:{}", v.index), Arc::clone(r)));
+                .map(|r| MetricsScope::enter(Arc::clone(r)));
             if let Some(m) = metrics::active() {
                 m.counter("campaign.variant.overlay_evals").inc();
             }

@@ -85,6 +85,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting either parser accepts. A spec nests
+/// three levels at most; the recursive descents would overflow a 2 MiB
+/// thread stack near 10,000 levels, so deeper input is an error instead.
+const MAX_DEPTH: usize = 128;
+
 fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
         line,
@@ -127,7 +132,7 @@ pub fn parse_toml(text: &str) -> Result<Value, ParseError> {
         if key.is_empty() || !key.chars().all(is_key_char) {
             return err(ln, format!("bad key {key:?}"));
         }
-        let (value, rest) = parse_scalar_or_array(val.trim(), ln)?;
+        let (value, rest) = parse_scalar_or_array(val.trim(), ln, 0)?;
         if !rest.trim().is_empty() {
             return err(ln, format!("trailing input after value: {rest:?}"));
         }
@@ -169,17 +174,21 @@ fn strip_comment(line: &str) -> &str {
 }
 
 /// Parse one TOML value (scalar or `[...]` array, arrays nest) from the
-/// front of `s`; returns the value and the unconsumed tail.
-fn parse_scalar_or_array(s: &str, ln: usize) -> Result<(Value, &str), ParseError> {
+/// front of `s`, `depth` arrays deep; returns the value and the
+/// unconsumed tail.
+fn parse_scalar_or_array(s: &str, ln: usize, depth: usize) -> Result<(Value, &str), ParseError> {
     let s = s.trim_start();
     if let Some(mut rest) = s.strip_prefix('[') {
+        if depth == MAX_DEPTH {
+            return err(ln, format!("arrays nested deeper than {MAX_DEPTH} levels"));
+        }
         let mut items = Vec::new();
         loop {
             rest = rest.trim_start();
             if let Some(tail) = rest.strip_prefix(']') {
                 return Ok((Value::Arr(items), tail));
             }
-            let (v, tail) = parse_scalar_or_array(rest, ln)?;
+            let (v, tail) = parse_scalar_or_array(rest, ln, depth + 1)?;
             items.push(v);
             rest = tail.trim_start();
             if let Some(tail) = rest.strip_prefix(',') {
@@ -235,6 +244,7 @@ pub fn parse_json(text: &str) -> Result<Value, ParseError> {
     let mut p = Json {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -248,6 +258,8 @@ pub fn parse_json(text: &str) -> Result<Value, ParseError> {
 struct Json<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around `pos`.
+    depth: usize,
 }
 
 impl Json<'_> {
@@ -275,8 +287,22 @@ impl Json<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(&open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(
+                        self.line(),
+                        format!("nested deeper than {MAX_DEPTH} levels"),
+                    );
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -453,6 +479,17 @@ mod tests {
     fn toml_hash_inside_string_is_not_a_comment() {
         let v = parse_toml(r##"name = "a#b""##).unwrap();
         assert_eq!(v.get("name").unwrap().as_str(), Some("a#b"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let (open, close) = ("[".repeat(100_000), "]".repeat(100_000));
+        let e = parse_toml(&format!("ok = 1\nseeds = {open}1{close}")).unwrap_err();
+        assert_eq!((e.line, e.msg.contains("deeper than")), (2, true), "{e}");
+        let e = parse_json(&format!("{{\n\"seeds\": {open}1{close}}}")).unwrap_err();
+        assert_eq!((e.line, e.msg.contains("deeper than")), (2, true), "{e}");
+        let at_cap = format!("x = {}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_toml(&at_cap).is_ok());
     }
 
     #[test]

@@ -239,8 +239,9 @@ impl DramSystem {
     ///
     /// This agrees with [`DramSystem::reported_bandwidth`] by construction of
     /// the per-channel service rates, but exercises the full event machinery
-    /// and reproduces *when* each line lands — used by the failure-injection
-    /// and scheduler studies that need timed memory phases.
+    /// and reproduces *when* each line lands: the oracle that the tests hold
+    /// the analytic bandwidth to.
+    // simlint::allow(unreached-from-roots): oracle; the tests compare `reported_bandwidth` against it
     pub fn simulate_traffic(
         &self,
         total_bytes: Bytes,

@@ -103,10 +103,6 @@ impl GemmModel {
         Self::new(Gcd::mi250x(0), GemmConfig::default())
     }
 
-    pub fn gcd(&self) -> &Gcd {
-        &self.gcd
-    }
-
     /// Theoretical matrix-core peak for a precision.
     pub fn matrix_peak(&self, p: Precision) -> Flops {
         match p {

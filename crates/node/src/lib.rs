@@ -23,11 +23,9 @@
 
 pub mod bardpeak;
 pub mod dram;
-pub mod exec;
 pub mod gemm;
 pub mod hbm;
 pub mod mi250x;
-pub mod roofline;
 pub mod stream;
 pub mod transfer;
 pub mod trento;

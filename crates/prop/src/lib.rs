@@ -36,6 +36,8 @@
 //! entropy). And there is no shrinking: a failing property reports the
 //! index of the failing case and the `Debug` form of its inputs.
 
+// simlint::allow-file(unreached-from-roots): a dev-dependency; every caller is a test
+
 use std::fmt::Debug;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};

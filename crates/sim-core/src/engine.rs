@@ -98,6 +98,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The delivery instant of the earliest pending event.
+    // simlint::allow(unreached-from-roots): oracle API; the radix-heap parity tests compare against it
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
     }

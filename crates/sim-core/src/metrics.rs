@@ -818,13 +818,7 @@ const SCOPE_UNIT: u64 = 2;
 thread_local! {
     /// The innermost entry is the registry `active()` resolves to on this
     /// thread. Plain `Vec` push/pop: scopes nest lexically (RAII).
-    static SCOPE_STACK: RefCell<Vec<ScopeEntry>> = const { RefCell::new(Vec::new()) };
-}
-
-#[derive(Clone)]
-struct ScopeEntry {
-    registry: Arc<MetricsRegistry>,
-    label: Option<Arc<str>>,
+    static SCOPE_STACK: RefCell<Vec<Arc<MetricsRegistry>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The process-global registry. Always reachable (e.g. to snapshot after
@@ -876,7 +870,7 @@ fn active_slow(state: u64) -> Option<Arc<MetricsRegistry>> {
         // Some thread has a live scope; ours is authoritative if present.
         // try_with: during thread teardown the stack is gone — fall back.
         let mine = SCOPE_STACK
-            .try_with(|s| s.borrow().last().map(|e| Arc::clone(&e.registry)))
+            .try_with(|s| s.borrow().last().map(Arc::clone))
             .ok()
             .flatten();
         if let Some(reg) = mine {
@@ -907,24 +901,6 @@ pub fn shared() -> Option<&'static MetricsRegistry> {
     }
 }
 
-/// The label of the innermost *named* scope on this thread (see
-/// [`MetricsScope::enter_named`]), if any. Cheap when no scope exists
-/// anywhere: one relaxed load.
-pub fn scope_label() -> Option<String> {
-    if ACTIVE_STATE.load(Ordering::Relaxed) < SCOPE_UNIT {
-        return None;
-    }
-    SCOPE_STACK
-        .try_with(|s| {
-            s.borrow()
-                .iter()
-                .rev()
-                .find_map(|e| e.label.as_ref().map(|l| l.to_string()))
-        })
-        .ok()
-        .flatten()
-}
-
 /// RAII guard that makes `registry` the [`active`] registry for the
 /// current thread until dropped. Scopes nest: the innermost wins, and
 /// dropping restores the previous resolution (outer scope, then global).
@@ -939,24 +915,7 @@ pub struct MetricsScope {
 impl MetricsScope {
     /// Install `registry` as this thread's active scope.
     pub fn enter(registry: Arc<MetricsRegistry>) -> MetricsScope {
-        Self::push(ScopeEntry {
-            registry,
-            label: None,
-        })
-    }
-
-    /// Install `registry` with a human-readable label (`"variant:17"`,
-    /// `"section:fig6"`) that [`scope_label`] reports while it is
-    /// innermost.
-    pub fn enter_named(label: impl Into<String>, registry: Arc<MetricsRegistry>) -> MetricsScope {
-        Self::push(ScopeEntry {
-            registry,
-            label: Some(Arc::from(label.into().as_str())),
-        })
-    }
-
-    fn push(entry: ScopeEntry) -> MetricsScope {
-        SCOPE_STACK.with(|s| s.borrow_mut().push(entry));
+        SCOPE_STACK.with(|s| s.borrow_mut().push(registry));
         ACTIVE_STATE.fetch_add(SCOPE_UNIT, Ordering::SeqCst);
         MetricsScope {
             _not_send: PhantomData,
@@ -977,15 +936,15 @@ impl Drop for MetricsScope {
 /// a closure running on a worker thread does not inherit the caller's
 /// scope; capture `Scope::current()` before the parallel region and wrap
 /// the worker body in [`Scope::install`] (or use [`Scope::par_map`],
-/// which does it for you). Re-installing preserves the scope's label, so
-/// traces recorded on workers stay attributed.
+/// which does it for you), so updates recorded on workers land in the
+/// caller's registry.
 ///
 /// A handle captured with no scope installed is a no-op: `install` just
 /// runs the closure, and workers fall back to the global registry exactly
 /// like the caller would.
 #[derive(Clone, Default)]
 pub struct Scope {
-    entry: Option<ScopeEntry>,
+    registry: Option<Arc<MetricsRegistry>>,
 }
 
 impl Scope {
@@ -993,10 +952,10 @@ impl Scope {
     /// relaxed load when no scope exists anywhere in the process.
     pub fn current() -> Scope {
         if ACTIVE_STATE.load(Ordering::Relaxed) < SCOPE_UNIT {
-            return Scope { entry: None };
+            return Scope { registry: None };
         }
         Scope {
-            entry: SCOPE_STACK
+            registry: SCOPE_STACK
                 .try_with(|s| s.borrow().last().cloned())
                 .ok()
                 .flatten(),
@@ -1005,9 +964,9 @@ impl Scope {
 
     /// Run `f` with this scope installed on the current thread.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.entry {
-            Some(e) => {
-                let _guard = MetricsScope::push(e.clone());
+        match &self.registry {
+            Some(r) => {
+                let _guard = MetricsScope::enter(Arc::clone(r));
                 f()
             }
             None => f(),
@@ -1346,18 +1305,16 @@ mod tests {
     fn nested_scopes_resolve_innermost_and_do_not_leak() {
         let outer = Arc::new(MetricsRegistry::new());
         let inner = Arc::new(MetricsRegistry::new());
-        let _o = MetricsScope::enter_named("track:0", Arc::clone(&outer));
+        let _o = MetricsScope::enter(Arc::clone(&outer));
         if let Some(m) = active() {
             m.counter("seen.outer").inc();
         }
         {
-            let _i = MetricsScope::enter_named("variant:3", Arc::clone(&inner));
-            assert_eq!(scope_label().as_deref(), Some("variant:3"));
+            let _i = MetricsScope::enter(Arc::clone(&inner));
             if let Some(m) = active() {
                 m.counter("seen.inner").inc();
             }
         }
-        assert_eq!(scope_label().as_deref(), Some("track:0"));
         let (so, si) = (outer.snapshot(), inner.snapshot());
         assert_eq!(so.counters["seen.outer"], 1);
         assert!(
@@ -1371,7 +1328,7 @@ mod tests {
     #[test]
     fn par_map_installs_the_callers_scope_on_workers() {
         let reg = Arc::new(MetricsRegistry::new());
-        let _guard = MetricsScope::enter_named("section:test", Arc::clone(&reg));
+        let _guard = MetricsScope::enter(Arc::clone(&reg));
         let scope = Scope::current();
         let items: Vec<u64> = (0..64).collect();
         let out = scope.par_map(&items, 4, |&i| {
@@ -1392,12 +1349,14 @@ mod tests {
         let barrier = std::sync::Barrier::new(2);
         let seen = scope.par_map(&[0, 1], 2, |_| {
             barrier.wait();
-            (std::thread::current().id() != caller, scope_label())
+            let mine = active().is_some_and(|a| Arc::ptr_eq(&a, &reg));
+            (std::thread::current().id() != caller, mine)
         });
         assert_eq!(seen.iter().filter(|(on_worker, _)| *on_worker).count(), 1);
-        for (_, label) in seen {
-            assert_eq!(label.as_deref(), Some("section:test"));
-        }
+        assert!(
+            seen.iter().all(|(_, mine)| *mine),
+            "every thread, worker included, resolves to the caller's registry"
+        );
     }
 
     #[test]

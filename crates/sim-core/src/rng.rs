@@ -89,13 +89,6 @@ impl StreamRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform sample in `[lo, hi)`.
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo < hi);
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[0, n)`. Panics if `n == 0`.
     #[inline]
     pub fn index(&mut self, n: usize) -> usize {

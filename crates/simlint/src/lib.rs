@@ -33,7 +33,9 @@
 //!   graph records `metrics::active()` without routing through
 //!   `Scope::{install,par_map}`;
 //! * [`rules::FLOAT_ORDER`] — order-sensitive float reductions in
-//!   parallel regions.
+//!   parallel regions;
+//! * [`rules::UNREACHED`] — library fns that no binary or example
+//!   reaches, ratcheted downward like the panic budget.
 //!
 //! The analysis is a hand-rolled token-level pass (see [`lexer`]): the
 //! workspace builds offline with no proc-macro stack available, and a

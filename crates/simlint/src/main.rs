@@ -93,10 +93,10 @@ fn main() -> ExitCode {
             },
             "--list-rules" => {
                 for r in rules::RULES {
-                    println!("{:<16} {}", r.id, r.summary);
-                    println!("{:<16}   invariant: {}", "", r.invariant);
+                    println!("{:<20} {}", r.id, r.summary);
+                    println!("{:<20}   invariant: {}", "", r.invariant);
                     if r.ratchet {
-                        println!("{:<16}   (ratcheted via {})", "", ratchet::RATCHET_FILE);
+                        println!("{:<20}   (ratcheted via {})", "", ratchet::RATCHET_FILE);
                     }
                 }
                 return ExitCode::SUCCESS;

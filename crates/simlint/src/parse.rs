@@ -23,6 +23,9 @@ pub struct FnDef {
     /// `impl` type when the fn is a method (`Solver` for
     /// `impl Solver { fn solve … }` and `impl Trait for Solver { … }`).
     pub impl_type: Option<String>,
+    /// Defined in a trait or an `impl Trait for T` block: callable through
+    /// operators, formatting and generic bounds the graph does not see.
+    pub in_trait: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Inclusive token-index span of the body, braces included.
@@ -80,12 +83,13 @@ pub fn parse(f: &SourceFile) -> ParsedFile {
 
     // Pass 1: fn definitions, with the enclosing `impl` type tracked via
     // a brace-depth stack.
-    let mut impl_stack: Vec<(u32, Option<String>)> = Vec::new(); // (open depth, type)
+    // (open depth, type, trait or trait impl)
+    let mut impl_stack: Vec<(u32, Option<String>, bool)> = Vec::new();
     let mut i = 0usize;
     while i < n {
         let t = &toks[i];
         if t.is_punct('}') {
-            if let Some(&(d, _)) = impl_stack.last() {
+            if let Some(&(d, _, _)) = impl_stack.last() {
                 // Depth *before* the matching close brace is open depth + 1.
                 if depths[i].brace == d + 1 {
                     impl_stack.pop();
@@ -95,8 +99,8 @@ pub fn parse(f: &SourceFile) -> ParsedFile {
             continue;
         }
         if t.is_ident("impl") {
-            if let Some((ty, open)) = impl_type(toks, i) {
-                impl_stack.push((depths[open].brace, ty));
+            if let Some((ty, for_trait, open)) = impl_type(toks, i) {
+                impl_stack.push((depths[open].brace, ty, for_trait));
                 i = open + 1;
                 continue;
             }
@@ -122,7 +126,7 @@ pub fn parse(f: &SourceFile) -> ParsedFile {
                 j += 1;
             }
             if let Some(open) = open {
-                impl_stack.push((depths[open].brace, Some(toks[i + 1].text.clone())));
+                impl_stack.push((depths[open].brace, Some(toks[i + 1].text.clone()), true));
                 i = open + 1;
                 continue;
             }
@@ -130,9 +134,11 @@ pub fn parse(f: &SourceFile) -> ParsedFile {
         if t.is_ident("fn") && i + 1 < n && toks[i + 1].kind == TokKind::Ident {
             let name = toks[i + 1].text.clone();
             let body = fn_body_span(toks, depths, i);
+            let top = impl_stack.last();
             out.fns.push(FnDef {
                 name,
-                impl_type: impl_stack.last().and_then(|(_, ty)| ty.clone()),
+                impl_type: top.and_then(|(_, ty, _)| ty.clone()),
+                in_trait: top.is_some_and(|&(_, _, tr)| tr),
                 line: t.line,
                 body,
             });
@@ -141,13 +147,17 @@ pub fn parse(f: &SourceFile) -> ParsedFile {
     }
 
     // Pass 2: call sites, attributed to the innermost fn whose body span
-    // contains the callee token.
+    // contains the callee token. A fn passed by name as an argument
+    // (`.all(is_key_char)`, `.map(Mi250x::new)`) counts as a call: a
+    // path, or the bare name of a free fn of this file.
+    let free_fns: Vec<&str> = out
+        .fns
+        .iter()
+        .filter(|d| d.impl_type.is_none())
+        .map(|d| d.name.as_str())
+        .collect();
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident
-            || i + 1 >= n
-            || !toks[i + 1].is_punct('(')
-            || NON_CALL_KEYWORDS.contains(&t.text.as_str())
-        {
+        if t.kind != TokKind::Ident || i + 1 >= n || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
             continue;
         }
         // `fn name(` is a definition, not a call.
@@ -160,6 +170,18 @@ pub fn parse(f: &SourceFile) -> ParsedFile {
         } else {
             None
         };
+        if !toks[i + 1].is_punct('(') {
+            let mut start = i;
+            while start >= 3 && toks[start - 1].is_punct(':') && toks[start - 2].is_punct(':') {
+                start -= 3;
+            }
+            let argument = start > 0
+                && (toks[start - 1].is_punct('(') || toks[start - 1].is_punct(','))
+                && (toks[i + 1].is_punct(')') || toks[i + 1].is_punct(','));
+            if !argument || (qualifier.is_none() && !free_fns.contains(&t.text.as_str())) {
+                continue;
+            }
+        }
         out.calls.push(CallSite {
             callee: t.text.clone(),
             qualifier,
@@ -188,11 +210,12 @@ pub fn innermost_fn(fns: &[FnDef], tok: usize) -> Option<usize> {
     best
 }
 
-/// The `impl` header's type name and the index of its opening `{`.
+/// The `impl` header's type name, whether it implements a trait, and the
+/// index of its opening `{`.
 /// `impl<T> Solver<T> { … }` → `Solver`; `impl Trait for Solver { … }` →
 /// `Solver`; `impl Trait for &mut Foo` → `Foo`. Returns `None` when no
 /// body brace is found (e.g. a macro fragment).
-fn impl_type(toks: &[Token], at: usize) -> Option<(Option<String>, usize)> {
+fn impl_type(toks: &[Token], at: usize) -> Option<(Option<String>, bool, usize)> {
     let n = toks.len();
     let mut j = at + 1;
     let mut angle = 0i32;
@@ -207,7 +230,7 @@ fn impl_type(toks: &[Token], at: usize) -> Option<(Option<String>, usize)> {
             angle -= 1;
         } else if t.is_punct('{') && angle <= 0 {
             let ty = if saw_for { after_for } else { first_ident };
-            return Some((ty, j));
+            return Some((ty, saw_for, j));
         } else if t.is_punct(';') && angle <= 0 {
             return None; // `impl Trait for Foo;` — not real Rust, bail
         } else if t.is_ident("for") && angle <= 0 {
@@ -241,10 +264,18 @@ fn impl_type(toks: &[Token], at: usize) -> Option<(Option<String>, usize)> {
 fn fn_body_span(toks: &[Token], depths: &[Depth], at: usize) -> Option<(usize, usize)> {
     let n = toks.len();
     let d0 = depths[at];
+    // `[u32; 16]` in a signature is not the end of a declaration.
+    let mut bracket = 0i32;
     let mut j = at + 1;
     while j < n {
         let t = &toks[j];
-        if t.is_punct(';') && depths[j].brace == d0.brace && depths[j].paren == d0.paren {
+        if t.is_punct('[') {
+            bracket += 1;
+        } else if t.is_punct(']') {
+            bracket -= 1;
+        }
+        let top = bracket == 0 && depths[j].brace == d0.brace && depths[j].paren == d0.paren;
+        if t.is_punct(';') && top {
             return None; // body-less declaration
         }
         if t.is_punct('{') && depths[j].brace == d0.brace {
@@ -286,6 +317,13 @@ mod tests {
         assert_eq!(quals, vec!["free", "Solver::step", "Row::fmt", "T::sig"]);
         assert!(p.fns[0].body.is_some());
         assert!(p.fns[3].body.is_none(), "trait signature has no body");
+        let in_trait: Vec<bool> = p.fns.iter().map(|f| f.in_trait).collect();
+        assert_eq!(in_trait, vec![false, false, true, true]);
+        let (_, p) = parsed("fn block() -> [u32; 16] { quarter(); }\n");
+        assert!(
+            p.fns[0].body.is_some(),
+            "an array type is not a declaration's end"
+        );
     }
 
     #[test]
@@ -324,6 +362,13 @@ mod tests {
     fn keywords_and_macros_are_not_calls() {
         let (_, p) = parsed("fn a() { if (x) {} vec![1]; println!(\"x\"); match (y) {} }\n");
         assert!(p.calls.is_empty(), "{:?}", p.calls);
+    }
+
+    #[test]
+    fn fns_passed_by_name_are_calls() {
+        let (_, p) = parsed("fn a(x: u32) { s.all(key); s.map(T::new); f(x, y); }\nfn key() {}\n");
+        let callees: Vec<&str> = p.calls.iter().map(|c| c.callee.as_str()).collect();
+        assert_eq!(callees, vec!["all", "key", "map", "new", "f"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! its target pattern and respects suppressions.
 //!
 //! Rules come in two tiers: per-file token rules (r1–r6, r10) that see
-//! one [`SourceFile`] at a time, and graph rules (r7–r9) that run over
+//! one [`SourceFile`] at a time, and graph rules (r7–r9, r11) that run over
 //! the workspace call graph ([`crate::graph`]) after every file is
 //! parsed, so a violation in one crate can be traced to a sink in
 //! another.
@@ -39,6 +39,7 @@ pub const HASH_ITER_REACH: &str = "hash-iter-reach";
 pub const SCOPE_DROP: &str = "scope-drop";
 pub const FLOAT_ORDER: &str = "float-order";
 pub const GLOBAL_METRICS: &str = "global-metrics";
+pub const UNREACHED: &str = "unreached-from-roots";
 
 pub const RULES: &[Rule] = &[
     Rule {
@@ -192,6 +193,25 @@ pub const RULES: &[Rule] = &[
                   hard-binds the process registry and silently defeats both.",
         ratchet: false,
     },
+    Rule {
+        id: UNREACHED,
+        summary: "every library fn is reached from a binary or an example",
+        invariant: "code that no binary or example calls cannot affect a published \
+                    number; it earns a place in a result or is deleted",
+        explain: "Graph rule. Roots are every fn in a binary (src/main.rs, \
+                  src/bin/*.rs) and in examples/. A non-test fn in a library file \
+                  that no root reaches over the call graph is flagged: only tests \
+                  or nothing call it. Fns in trait definitions and `impl Trait for \
+                  T` blocks are exempt, since operators, formatting and generic \
+                  bounds call them without a call site the graph sees. Resolution \
+                  is by name, so a flagged fn has no caller of that name on any \
+                  path from a root. A source set with no root (one library file) \
+                  is not checked. Pre-existing debt is ratcheted and may only \
+                  shrink. An oracle that tests compare against, or an entry point \
+                  of a program outside the scanned workspace, stays with \
+                  simlint::allow(unreached-from-roots): <why>.",
+        ratchet: true,
+    },
 ];
 
 pub fn rule(id: &str) -> Option<&'static Rule> {
@@ -290,7 +310,44 @@ pub fn check_graph(
         check_scope_drop(f, p, graph, &recorders, out);
         check_float_order(f, out);
     }
+    check_unreached(files, graph, out);
     GraphAnalysis { sinks, reach }
+}
+
+/// R11: non-test library fns that no binary or example reaches. Every
+/// node of a binary or example file seeds the walk, its module-level
+/// pseudo-node included.
+fn check_unreached(files: &[(SourceFile, ParsedFile)], graph: &Graph, out: &mut Vec<Diagnostic>) {
+    let roots: BTreeSet<NodeId> = (0..graph.nodes.len())
+        .filter(|&id| matches!(graph.nodes[id].file_kind, FileKind::Bin | FileKind::Example))
+        .collect();
+    if roots.is_empty() {
+        return;
+    }
+    let reach = graph.reachable_from(&roots);
+    for (f, p) in files {
+        if f.kind != FileKind::Lib {
+            continue;
+        }
+        for (idx, d) in p.fns.iter().enumerate() {
+            let Some(id) = graph.fn_node(&f.rel, idx) else {
+                continue;
+            };
+            if d.in_trait || f.in_test_region(d.line) || reach.contains_key(&id) {
+                continue;
+            }
+            out.push(Diagnostic::new(
+                UNREACHED,
+                &f.rel,
+                d.line,
+                format!(
+                    "`{}` is reached from no binary or example; give it a caller \
+                     in a paper result or delete it",
+                    d.qual()
+                ),
+            ));
+        }
+    }
 }
 
 /// Does this fn name mark an output-producing function? These seed the

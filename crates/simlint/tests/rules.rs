@@ -7,7 +7,7 @@
 use simlint::diag::Diagnostic;
 use simlint::rules::{
     BARE_ALLOW, FLOAT_ORDER, GLOBAL_METRICS, HASH_ITER, HASH_ITER_REACH, PANIC_IN_LIB,
-    PAR_RAW_ATOMIC, SCOPE_DROP, UNKEYED_RNG, WALLCLOCK,
+    PAR_RAW_ATOMIC, SCOPE_DROP, UNKEYED_RNG, UNREACHED, WALLCLOCK,
 };
 
 /// (rule, line, suppressed) triples for compact assertions.
@@ -291,6 +291,46 @@ fn r10_spares_active_shared_tests_bins_and_sim_core() {
     assert!(lint("crates/sim-core/src/trace.rs", positive).is_empty());
 }
 
+// ---- R11: unreached-from-roots (graph rule) ------------------------------
+
+/// Lint a library fixture together with a binary whose `main` calls
+/// `entry`, the one root of the two-file workspace.
+fn lint_with_root(src: &str) -> Vec<Diagnostic> {
+    let files = [
+        ("crates/fabric/src/bin/tool.rs", "fn main() { entry(); }\n"),
+        (LIB_PATH, src),
+    ];
+    let files = files.map(|(rel, src)| (rel.to_string(), src.to_string()));
+    simlint::analyze_files(&files).diagnostics
+}
+
+#[test]
+fn r11_flags_library_fns_no_root_reaches() {
+    let positive = include_str!("fixtures/r11_positive.rs");
+    let diags = lint_with_root(positive);
+    assert_eq!(shape(&diags), vec![(UNREACHED, 9, false)]);
+    assert!(diags[0].message.contains("only_tests_call_me"));
+    // With no root in the source set there is nothing to measure from.
+    assert!(lint(LIB_PATH, positive).is_empty());
+}
+
+#[test]
+fn r11_methods_fns_passed_by_name_and_trait_impls_are_reached() {
+    for src in [
+        include_str!("fixtures/r11_clean.rs"),
+        include_str!("fixtures/r11_trait_impl.rs"),
+    ] {
+        let diags = lint_with_root(src);
+        assert!(diags.is_empty(), "{:?}", shape(&diags));
+    }
+}
+
+#[test]
+fn r11_suppression_with_justification() {
+    let diags = lint_with_root(include_str!("fixtures/r11_suppressed.rs"));
+    assert_eq!(shape(&diags), vec![(UNREACHED, 5, true)]);
+}
+
 // ---- workspace self-check ------------------------------------------------
 
 #[test]
@@ -332,7 +372,13 @@ fn workspace_rules_are_live_not_vacuous() {
     // a gating failure (see workspace_is_clean). `scope-drop` has no
     // workspace suppression; the r8 fixture tests (r8_positive, r8_clean,
     // r8_suppressed) keep it live.
-    for rule in [HASH_ITER, HASH_ITER_REACH, WALLCLOCK, PANIC_IN_LIB] {
+    for rule in [
+        HASH_ITER,
+        HASH_ITER_REACH,
+        WALLCLOCK,
+        PANIC_IN_LIB,
+        UNREACHED,
+    ] {
         assert!(
             suppressed_rules.contains(&rule),
             "expected at least one justified suppression for `{rule}` in the workspace"
@@ -344,10 +390,13 @@ fn workspace_rules_are_live_not_vacuous() {
         !outcome.parallel_regions.is_empty(),
         "expected at least one parallel region outside test code"
     );
-    // And the panic budget is non-empty but bounded by the ratchet.
+    // And the reachability debt is non-empty but bounded by the ratchet.
     assert!(
-        outcome.diagnostics.iter().any(|d| d.ratcheted),
-        "expected ratcheted panic-in-lib debt outside fabric/sim-core"
+        outcome
+            .diagnostics
+            .iter()
+            .any(|d| d.ratcheted && d.rule == UNREACHED),
+        "expected ratcheted unreached-from-roots debt"
     );
 }
 

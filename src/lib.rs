@@ -40,7 +40,6 @@
 pub use frontier_campaign as campaign;
 pub use frontier_core::prelude;
 pub use frontier_core::{apps, fabric, node, power, resilience, sched, sim_core, storage};
-pub use frontier_miniapps as miniapps;
 
 /// The integrated machine handle (re-exported from `frontier-core`).
 pub use frontier_core::machine::FrontierMachine;
